@@ -52,8 +52,7 @@ class SigningAuthority:
         self.key = key
         self.registry = dict(registry)
         self.allow_corrupt = allow_corrupt
-        self._log: dict[str, SigningRequest] = {}
-        self._order: list[str] = []
+        self._log: dict[str, SigningRequest] = {}  # arrival order
         self._issued_count = 0
         self._lock = threading.Lock()
 
@@ -83,7 +82,6 @@ class SigningAuthority:
                 raise AlreadyRequested(f"{req.voter_id!r} already holds a signature")
             signature = blindsig.sign_blinded(req.blinded, self.key)
             self._log[req.voter_id] = req
-            self._order.append(req.voter_id)
             self._issued_count += 1
             return signature
 
@@ -96,23 +94,14 @@ class SigningAuthority:
     ) -> list[tuple[str, int, bytes]]:
         """Snapshot of (voter_id, blinded, credential signature) in arrival order.
 
-        When a board is given, each entry is also published as a REQUEST
-        record so auditors can count voter-signed requests independently.
+        When a board is given, the entries are also published as REQUEST
+        records so auditors can count voter-signed requests independently.
         """
         with self._lock:
-            snapshot = [
-                (
-                    vid,
-                    self._log[vid].blinded,
-                    self._log[vid].credential_signature,
-                )
-                for vid in self._order
-            ]
-            requests = [self._log[vid] for vid in self._order]
+            requests = list(self._log.values())
         if board is not None:
-            for req in requests:
-                board.append("REQUEST", format_request(req).encode("ascii"))
-        return snapshot
+            publish_requests(board, requests)
+        return [(req.voter_id, req.blinded, req.credential_signature) for req in requests]
 
     def corrupt_sign(self, blinded: int) -> int:
         """Sign without logging a request. Adversarial harness only."""
@@ -126,25 +115,18 @@ class SigningAuthority:
     def save_request_log(self, out: TextIO) -> None:
         """Persist the log as REQ lines (the authority's only durable state)."""
         with self._lock:
-            for vid in self._order:
-                out.write(format_request(self._log[vid]) + "\n")
+            for req in self._log.values():
+                out.write(format_request(req) + "\n")
 
     def load_request_log(self, src: TextIO) -> None:
         """Restore a previously saved log (replaces the in-memory log)."""
         log: dict[str, SigningRequest] = {}
-        order: list[str] = []
-        for line in src:
-            line = line.strip()
-            if not line:
-                continue
-            req = parse_request(line)
+        for req in read_request_log(src):
             if req.voter_id in log:
                 raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
             log[req.voter_id] = req
-            order.append(req.voter_id)
         with self._lock:
             self._log = log
-            self._order = order
             self._issued_count = len(log)
 
 
@@ -178,6 +160,22 @@ def parse_request(line: str) -> SigningRequest:
         blinded=blinded,
         credential_signature=signature,
     )
+
+
+def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
+    """Parse a saved request log: one REQ line per request, blank lines skipped."""
+    return [parse_request(line) for line in src if line.strip()]
+
+
+def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -> None:
+    """Publish each request as a REQUEST record the board does not hold yet,
+    so publishing the same log twice adds nothing the second time."""
+    lines = [format_request(req).encode("ascii") for req in requests]
+    if lines:  # an empty log reads no board, so it cannot fail here
+        on_board = {rec.payload for rec in board.records() if rec.kind == "REQUEST"}
+        for line in lines:
+            if line not in on_board:
+                board.append("REQUEST", line)
 
 
 def format_response(result: int | ProtocolError) -> str:

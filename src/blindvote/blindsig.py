@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TextIO
 
+from .election import record_lines
 from .errors import FactorNotUnit, MessageOutOfRange, ParseError
 
 # Round count for Miller-Rabin: error probability <= 4^-40 per composite.
@@ -215,10 +216,7 @@ def save_keypair(key: BlindKeyPair, out: TextIO) -> None:
 
 def _parse_key_fields(src: TextIO) -> dict[str, int]:
     fields: dict[str, int] = {}
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in record_lines(src):
         name, sep, value = line.partition("=")
         if not sep:
             raise ParseError(f"line {lineno}: expected name=hexvalue")

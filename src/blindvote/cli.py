@@ -12,7 +12,8 @@
     notes/<id>.txt   voter note sheets
 
 Every subcommand reads and writes only these files. Randomized steps take
---seed so a scripted run is reproducible byte for byte.
+--seed so a scripted run is reproducible byte for byte. `vote` and
+`authority` flock the directory from loading requests.log to saving it.
 
 Exit codes: 0 success, 1 protocol error (stderr line `ERR <Code>: <msg>`),
 2 usage, 3 negative verdict (gate BLOCK, audit cheat flag).
@@ -21,14 +22,20 @@ Exit codes: 0 success, 1 protocol error (stderr line `ERR <Code>: <msg>`),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
+import os
 import random
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import authority as authority_mod
 from . import blindsig, board as board_mod, legacy, voter
 from .election import ElectionConfig, VoteSelection, load_config, save_config
 from .tally import (
+    AuditReport,
+    TallyResult,
     eligibility_audit,
     format_audit_report,
     format_tally_report,
@@ -40,6 +47,7 @@ from .tally import (
 from .errors import ProtocolError, UnknownVoter
 from .identity import (
     CredentialIssuer,
+    SigningRequest,
     load_registry,
     load_secrets,
     save_registry,
@@ -87,18 +95,24 @@ class _Dir:
         with self.registry.open() as fh:
             return load_registry(fh)
 
-    def load_authority(self) -> authority_mod.SigningAuthority:
-        auth = authority_mod.SigningAuthority(
-            self.load_config(), self.load_key(), self.load_registry()
-        )
-        if self.requests.exists():
-            with self.requests.open() as fh:
-                auth.load_request_log(fh)
-        return auth
-
-    def save_requests(self, auth: authority_mod.SigningAuthority) -> None:
-        with self.requests.open("w") as fh:
-            auth.save_request_log(fh)
+    @contextlib.contextmanager
+    def locked_authority(self) -> Iterator[authority_mod.SigningAuthority]:
+        """The authority restored from requests.log under an exclusive flock
+        on the directory; the log is saved, still locked, on a clean exit."""
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            auth = authority_mod.SigningAuthority(
+                self.load_config(), self.load_key(), self.load_registry()
+            )
+            if self.requests.exists():
+                with self.requests.open() as fh:
+                    auth.load_request_log(fh)
+            yield auth
+            with self.requests.open("w") as fh:
+                auth.save_request_log(fh)
+        finally:
+            os.close(fd)  # releases the lock
 
     def load_box(self) -> list[str]:
         if not self.ballotbox.exists():
@@ -106,15 +120,11 @@ class _Dir:
         with self.ballotbox.open() as fh:
             return load_ballot_box(fh)
 
-    def load_requests(self) -> list:
+    def load_requests(self) -> list[SigningRequest]:
         if not self.requests.exists():
             return []
         with self.requests.open() as fh:
-            return [
-                authority_mod.parse_request(line.strip())
-                for line in fh
-                if line.strip()
-            ]
+            return authority_mod.read_request_log(fh)
 
 
 def cmd_setup(args: argparse.Namespace) -> int:
@@ -162,11 +172,10 @@ def cmd_vote(args: argparse.Namespace) -> int:
     sel = VoteSelection(
         party_index=args.party, approvals=frozenset(args.approve or ())
     )
-    auth = d.load_authority()
-    artifact, note = voter.prepare_and_cast(
-        config, cred, sel, auth.key.public, auth.handle_request, rng
-    )
-    d.save_requests(auth)
+    with d.locked_authority() as auth:
+        artifact, note = voter.prepare_and_cast(
+            config, cred, sel, auth.key.public, auth.handle_request, rng
+        )
     (d.ballots / f"{args.voter}.txt").write_text(artifact.text)
     (d.notes / f"{args.voter}.txt").write_text(note.text)
     if not args.no_mail:
@@ -178,13 +187,12 @@ def cmd_vote(args: argparse.Namespace) -> int:
 
 def cmd_authority(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
-    auth = d.load_authority()
     mailbox = Path(args.mailbox)
-    with mailbox.open() as fh:
-        responses = authority_mod.process_mailbox(auth, fh)
     out = Path(args.out) if args.out else mailbox.with_suffix(mailbox.suffix + ".rsp")
-    out.write_text("".join(line + "\n" for line in responses))
-    d.save_requests(auth)
+    with d.locked_authority() as auth:
+        with mailbox.open() as fh:
+            responses = authority_mod.process_mailbox(auth, fh)
+        out.write_text("".join(line + "\n" for line in responses))
     print(f"processed {len(responses)} requests, responses in {out}")
     return EXIT_OK
 
@@ -206,28 +214,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_tally(args: argparse.Namespace) -> int:
-    d = _Dir(args.dir)
+def _count(
+    d: _Dir,
+) -> tuple[ElectionConfig, TallyResult, list[SigningRequest], AuditReport]:
+    """Tally the ballot box and audit it against the request log."""
     config = d.load_config()
-    pk = d.load_pub()
-    result = tally(pk, config, d.load_box())
+    result = tally(d.load_pub(), config, d.load_box())
     requests = d.load_requests()
     audit = eligibility_audit(d.load_registry(), requests, result)
+    return config, result, requests, audit
+
+
+def cmd_tally(args: argparse.Namespace) -> int:
+    d = _Dir(args.dir)
+    config, result, requests, audit = _count(d)
     if not args.no_publish:
         bb = board_mod.BulletinBoard(d.board)
-        for req in requests:
-            bb.append("REQUEST", authority_mod.format_request(req).encode("ascii"))
+        authority_mod.publish_requests(bb, requests)
         publish_tally(bb, config, result, audit)
     sys.stdout.write(format_tally_report(config, result))
     return EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    d = _Dir(args.dir)
-    config = d.load_config()
-    pk = d.load_pub()
-    result = tally(pk, config, d.load_box())
-    audit = eligibility_audit(d.load_registry(), d.load_requests(), result)
+    *_, audit = _count(_Dir(args.dir))
     sys.stdout.write(format_audit_report(audit))
     return EXIT_VERDICT if audit.cheat_flag else EXIT_OK
 
@@ -364,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print(f"ERR {exc.code}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"ERR IoFailure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

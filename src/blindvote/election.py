@@ -12,7 +12,7 @@ import datetime
 import io
 import os
 from dataclasses import dataclass, field
-from typing import TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 from .errors import (
     CandidateOutOfRange,
@@ -121,6 +121,15 @@ def validate_selection(config: ElectionConfig, sel: VoteSelection) -> None:
             )
 
 
+def record_lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped line) of a keyword-line file, skipping
+    blank lines and '#' comments; numbering counts every line."""
+    for lineno, raw in enumerate(src, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 # --- config file format ---
 #
 # Line-oriented UTF-8:
@@ -152,10 +161,7 @@ def parse_config(text: str) -> ElectionConfig:
     created_at = ""
     parties: list[tuple[str, list[str]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in record_lines(text.splitlines()):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "ELECTION":

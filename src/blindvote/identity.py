@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -23,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .election import record_lines
 from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
 
 _SEED_LEN = 32
@@ -36,7 +37,15 @@ class VoterCredential:
 
     voter_id: str
     seed: bytes
-    public: bytes
+
+    @property
+    def public(self) -> bytes:
+        """The raw Ed25519 public key, derived from the seed on demand."""
+        return (
+            Ed25519PrivateKey.from_private_bytes(self.seed)
+            .public_key()
+            .public_bytes_raw()
+        )
 
     def self_test(self) -> bool:
         """Sign and verify a probe message under this credential."""
@@ -88,14 +97,9 @@ class CredentialIssuer:
             raise ValueError(f"voter id must be non-empty without whitespace: {voter_id!r}")
         if voter_id in self._registry:
             raise DuplicateVoterId(f"credential already issued for {voter_id!r}")
-        seed = self._rng.randbytes(_SEED_LEN)
-        public = (
-            Ed25519PrivateKey.from_private_bytes(seed)
-            .public_key()
-            .public_bytes_raw()
-        )
-        self._registry[voter_id] = public
-        return VoterCredential(voter_id=voter_id, seed=seed, public=public)
+        cred = VoterCredential(voter_id=voter_id, seed=self._rng.randbytes(_SEED_LEN))
+        self._registry[voter_id] = cred.public
+        return cred
 
     @property
     def registry(self) -> dict[str, bytes]:
@@ -144,26 +148,30 @@ def save_registry(registry: dict[str, bytes], out: TextIO) -> None:
         out.write(f"VOTER {voter_id} {public.hex()}\n")
 
 
-def load_registry(src: TextIO) -> dict[str, bytes]:
-    registry: dict[str, bytes] = {}
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _load_keyed_hex(
+    src: Iterable[str], keyword: str, field: str, noun: str, length: int
+) -> dict[str, bytes]:
+    """Read `<keyword> <voter_id> <hex of length bytes>` lines, ids unique."""
+    values: dict[str, bytes] = {}
+    for lineno, line in record_lines(src):
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "VOTER":
-            raise ParseError(f"line {lineno}: expected 'VOTER <id> <pubkey hex>'")
+        if len(parts) != 3 or parts[0] != keyword:
+            raise ParseError(f"line {lineno}: expected '{keyword} <id> <{field} hex>'")
         voter_id = parts[1]
-        if voter_id in registry:
+        if voter_id in values:
             raise ParseError(f"line {lineno}: duplicate voter {voter_id!r}")
         try:
-            public = bytes.fromhex(parts[2])
+            value = bytes.fromhex(parts[2])
         except ValueError:
-            raise ParseError(f"line {lineno}: public key is not hex") from None
-        if len(public) != _PUB_LEN:
-            raise ParseError(f"line {lineno}: public key must be {_PUB_LEN} bytes")
-        registry[voter_id] = public
-    return registry
+            raise ParseError(f"line {lineno}: {noun} is not hex") from None
+        if len(value) != length:
+            raise ParseError(f"line {lineno}: {noun} must be {length} bytes")
+        values[voter_id] = value
+    return values
+
+
+def load_registry(src: TextIO) -> dict[str, bytes]:
+    return _load_keyed_hex(src, "VOTER", "pubkey", "public key", _PUB_LEN)
 
 
 def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
@@ -173,27 +181,5 @@ def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
 
 
 def load_secrets(src: TextIO) -> dict[str, VoterCredential]:
-    creds: dict[str, VoterCredential] = {}
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "SECRET":
-            raise ParseError(f"line {lineno}: expected 'SECRET <id> <seed hex>'")
-        voter_id = parts[1]
-        if voter_id in creds:
-            raise ParseError(f"line {lineno}: duplicate voter {voter_id!r}")
-        try:
-            seed = bytes.fromhex(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: seed is not hex") from None
-        if len(seed) != _SEED_LEN:
-            raise ParseError(f"line {lineno}: seed must be {_SEED_LEN} bytes")
-        public = (
-            Ed25519PrivateKey.from_private_bytes(seed)
-            .public_key()
-            .public_bytes_raw()
-        )
-        creds[voter_id] = VoterCredential(voter_id=voter_id, seed=seed, public=public)
-    return creds
+    seeds = _load_keyed_hex(src, "SECRET", "seed", "seed", _SEED_LEN)
+    return {vid: VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()}

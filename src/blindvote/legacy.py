@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .board import BulletinBoard
-from .election import ElectionConfig, VoteSelection
+from .election import ElectionConfig, VoteSelection, record_lines
 from .errors import NotEligible, ParseError
 
 K_LEN = 16
@@ -276,10 +276,7 @@ def parse_scenario(text: str) -> LegacyScenario:
     honest: int | None = None
     compromised: int | None = None
     seed: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in record_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<DIRECTIVE> <value>'")

@@ -95,18 +95,20 @@ def tally(pk: PublicKey, config: ElectionConfig, box: Iterable[str]) -> TallyRes
     accepted_payloads: list[str] = []
     rejected: list[tuple[int, str]] = []
     duplicates: list[int] = []
-    seen: set[int] = set()
+    seen: set[str] = set()
     for idx, payload in enumerate(box):
         try:
-            signature = voter.parse_payload(payload, pk)
             sel = voter.verify_ballot(pk, config, payload)
         except ProtocolError as exc:
             rejected.append((idx, exc.code))
             continue
-        if signature in seen:
+        # parse_payload accepts only the canonical spelling of a signature, so
+        # two valid lines carry the same signature exactly when they are equal.
+        line = payload.strip()
+        if line in seen:
             duplicates.append(idx)
             continue
-        seen.add(signature)
+        seen.add(line)
         accepted_payloads.append(payload)
         party_votes[sel.party_index] += 1
         for cand in sel.approvals:

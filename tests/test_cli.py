@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import blindvote
 from blindvote.authority import format_request
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import board_verify
@@ -186,6 +192,18 @@ class TestTallyAuditGate:
                          "TALLY", "AUDIT"]
         assert board_verify(election / "board.txt") is None
 
+    def test_second_tally_adds_no_request_record(self, election, capsys):
+        self.cast(capsys, election, "V0001", 0, 21)
+        for _ in range(2):
+            rc, _, _ = run(capsys, "tally", "--dir", str(election))
+            assert rc == 0
+        kinds = [line.split("|")[1]
+                 for line in (election / "board.txt").read_text().splitlines()]
+        assert kinds == ["META", "REQUEST",
+                         "BALLOT_DIGEST", "TALLY", "AUDIT",
+                         "BALLOT_DIGEST", "TALLY", "AUDIT"]
+        assert board_verify(election / "board.txt") is None
+
     def test_no_publish_leaves_board_alone(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         before = (election / "board.txt").read_text()
@@ -333,6 +351,85 @@ class TestUsageAndErrors:
         rc, _, err = run(capsys, "audit", "--dir", str(tmp_path / "nowhere"))
         assert rc == 1
         assert err.startswith("ERR ")
+
+    def test_regular_file_as_dir_reports_io_failure(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "plain.txt"
+        not_a_dir.write_text("")
+        rc, _, err = run(capsys, "audit", "--dir", str(not_a_dir))
+        assert rc == 1
+        assert err.startswith("ERR IoFailure:")
+
+
+# Each racer imports the package, reports ready, then waits for the go file,
+# so all of them enter `blindvote vote` within a millisecond or so.
+_RACER = """
+import sys, time
+from pathlib import Path
+from blindvote.cli import main
+Path(sys.argv[1]).touch()
+go = Path(sys.argv[2])
+while not go.exists():
+    time.sleep(0.0005)
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def _race(tmp_path, argvs, timeout=60.0):
+    """Run `blindvote` once per argv, all released at once; return (rc, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(blindvote.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    go = tmp_path / "go"
+    ready = [tmp_path / f"ready{i}" for i in range(len(argvs))]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RACER, str(flag), str(go), *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for flag, argv in zip(ready, argvs)
+    ]
+    try:
+        deadline = time.monotonic() + timeout
+        while not all(flag.exists() for flag in ready):
+            assert time.monotonic() < deadline, "racers did not start"
+            time.sleep(0.01)
+        go.touch()
+        errs = [p.communicate(timeout=timeout)[1] for p in procs]
+        return [(p.returncode, err) for p, err in zip(procs, errs)]
+    finally:
+        for p in procs:
+            p.kill()
+            p.communicate()
+
+
+class TestConcurrentProcesses:
+    """`vote` runs in separate processes against one directory."""
+
+    @pytest.fixture()
+    def six_voters(self, tmp_path, config_file):
+        d = tmp_path / "e6"
+        assert main(["setup", "--dir", str(d), "--config", str(config_file),
+                     "--voters", "6", "--bits", "512", "--seed", "8"]) == 0
+        return d
+
+    def test_distinct_voters_keep_every_request(self, six_voters, tmp_path, capsys):
+        argvs = [["vote", "--dir", str(six_voters), "--voter", f"V000{i}",
+                  "--party", "0", "--seed", str(i)] for i in range(1, 7)]
+        assert [rc for rc, _ in _race(tmp_path, argvs)] == [0] * 6
+        logged = (six_voters / "requests.log").read_text().split()[1::5]
+        assert sorted(logged) == [f"V000{i}" for i in range(1, 7)]
+        rc, out, _ = run(capsys, "audit", "--dir", str(six_voters))
+        assert rc == 0
+        assert "requests_valid=6" in out and "ballots_valid=6" in out
+
+    def test_one_voter_gets_one_ballot(self, six_voters, tmp_path):
+        argvs = [["vote", "--dir", str(six_voters), "--voter", "V0001",
+                  "--party", "1", "--seed", str(i)] for i in range(4)]
+        results = _race(tmp_path, argvs)
+        assert sorted(rc for rc, _ in results) == [0, 1, 1, 1]
+        assert all(err.startswith("ERR AlreadyRequested:") for rc, err in results if rc)
+        assert len((six_voters / "requests.log").read_text().splitlines()) == 1
+        assert len((six_voters / "ballotbox.txt").read_text().splitlines()) == 1
 
 
 def _load_keypair(election):

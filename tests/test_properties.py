@@ -1,0 +1,194 @@
+"""Property tests: codec, payload framing and the directory's line formats
+each round-trip, and the readers skip blank and comment lines alike."""
+
+from __future__ import annotations
+
+import base64
+import io
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from blindvote import codec
+from blindvote.authority import (
+    SigningAuthority,
+    format_request,
+    read_request_log,
+)
+from blindvote.election import (
+    MAX_CANDIDATES,
+    ElectionConfig,
+    Party,
+    VoteSelection,
+)
+from blindvote.errors import BadFraming
+from blindvote.identity import (
+    SigningRequest,
+    VoterCredential,
+    load_registry,
+    load_secrets,
+    save_registry,
+    save_secrets,
+)
+from blindvote.voter import PAYLOAD_PREFIX, format_payload, parse_payload
+
+from conftest import FIXTURE_ELECTION_ID, make_config_2x3
+
+# Small example counts keep the whole suite quick; failing examples are not
+# stored between runs.
+FAST = settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+B64URL = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+
+voter_ids = st.text(
+    alphabet=st.characters(min_codepoint=33, max_codepoint=126),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def elections_and_selections(draw):
+    sizes = draw(st.lists(st.integers(1, MAX_CANDIDATES), min_size=1, max_size=4))
+    config = ElectionConfig(
+        election_id=draw(st.binary(min_size=8, max_size=8)),
+        title="Property Election",
+        parties=tuple(
+            Party(index=i, name=f"P{i}", candidates=tuple(f"C{j}" for j in range(n)))
+            for i, n in enumerate(sizes)
+        ),
+    )
+    party = draw(st.integers(0, len(sizes) - 1))
+    approvals = draw(st.frozensets(st.integers(0, sizes[party] - 1)))
+    return config, VoteSelection(party_index=party, approvals=approvals)
+
+
+def with_noise(text: str, data) -> str:
+    """Insert blank and comment lines between the record lines."""
+    lines = text.splitlines(keepends=True)
+    noise = st.sampled_from(["\n", "   \n", "# a comment\n", "  #indented comment\n"])
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(noise))
+    return "".join(lines)
+
+
+class TestCodec:
+    @FAST
+    @given(elections_and_selections(), st.binary(min_size=8, max_size=8))
+    def test_encode_decode_round_trip(self, drawn, nonce):
+        config, sel = drawn
+        block = codec.encode(sel, nonce)
+        assert len(block) == codec.BALLOT_LEN
+        assert codec.decode(block, config) == (sel, nonce)
+
+    @FAST
+    @given(st.binary(min_size=32, max_size=32), st.integers(codec.MIN_MODULUS_LEN, 512))
+    def test_pad_unpad_round_trip(self, block, modulus_len):
+        padded = codec.pad(block, FIXTURE_ELECTION_ID, modulus_len)
+        assert len(padded) == modulus_len
+        assert codec.unpad(padded, FIXTURE_ELECTION_ID) == block
+
+
+class TestPayloadFraming:
+    @FAST
+    @given(data=st.data())
+    def test_round_trip(self, key512, data):
+        pk = key512.public
+        signature = data.draw(st.integers(0, pk.n - 1))
+        line = format_payload(signature, pk)
+        assert parse_payload(line, pk) == signature
+        assert parse_payload(f"  {line}\n", pk) == signature
+
+    @FAST
+    @given(data=st.data())
+    def test_other_spelling_of_the_same_bytes_is_bad_framing(self, key512, data):
+        pk = key512.public
+        line = format_payload(data.draw(st.integers(0, pk.n - 1)), pk)
+        body = line.partition("|")[2]
+        pos = data.draw(st.integers(1, len(body) - 1))
+        last = B64URL.index(body[-1]) ^ data.draw(st.integers(1, 15))
+        spelling = data.draw(
+            st.sampled_from(
+                [
+                    # low bits of the last character flipped (unused ones
+                    # when the byte count is not a multiple of three)
+                    body[:-1] + B64URL[last],
+                    body + "=" * data.draw(st.integers(1, 3)),
+                    body.replace("-", "+").replace("_", "/"),
+                    # a character the decoder discards, inside the body
+                    body[:pos] + data.draw(st.sampled_from("!.*~\n")) + body[pos:],
+                ]
+            )
+        )
+        assume(spelling != body)
+        padded = spelling + "=" * (-len(spelling) % 4)
+        try:
+            same = base64.urlsafe_b64decode(padded) == base64.urlsafe_b64decode(body + "==")
+        except ValueError:
+            same = False
+        assume(same)
+        with pytest.raises(BadFraming):
+            parse_payload(f"{PAYLOAD_PREFIX}|{spelling}", pk)
+
+
+class TestDirectoryFiles:
+    @FAST
+    @given(
+        registry=st.dictionaries(voter_ids, st.binary(min_size=32, max_size=32), max_size=8),
+        data=st.data(),
+    )
+    def test_registry_round_trip(self, registry, data):
+        out = io.StringIO()
+        save_registry(registry, out)
+        loaded = load_registry(io.StringIO(with_noise(out.getvalue(), data)))
+        assert loaded == registry
+        assert list(loaded) == list(registry)
+
+    @FAST
+    @given(
+        seeds=st.dictionaries(voter_ids, st.binary(min_size=32, max_size=32), max_size=8),
+        data=st.data(),
+    )
+    def test_secrets_round_trip(self, seeds, data):
+        creds = [VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()]
+        out = io.StringIO()
+        save_secrets(creds, out)
+        loaded = load_secrets(io.StringIO(with_noise(out.getvalue(), data)))
+        assert list(loaded.values()) == creds
+
+    @FAST
+    @given(
+        log=st.dictionaries(
+            voter_ids,
+            st.tuples(
+                st.integers(0, 2**2048), st.binary(min_size=64, max_size=64)
+            ),
+            max_size=8,
+        ),
+    )
+    def test_request_log_round_trip(self, key512, log):
+        requests = [
+            SigningRequest(
+                voter_id=vid,
+                election_id=FIXTURE_ELECTION_ID,
+                blinded=blinded,
+                credential_signature=sig,
+            )
+            for vid, (blinded, sig) in log.items()
+        ]
+        text = "".join(format_request(req) + "\n" for req in requests)
+        assert read_request_log(io.StringIO(text.replace("\n", "\n\n"))) == requests
+
+        auth = SigningAuthority(make_config_2x3(), key512, {})
+        auth.load_request_log(io.StringIO(text))
+        saved = io.StringIO()
+        auth.save_request_log(saved)
+        assert saved.getvalue() == text
+        assert auth.export_request_log() == [
+            (req.voter_id, req.blinded, req.credential_signature) for req in requests
+        ]
