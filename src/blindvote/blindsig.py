@@ -214,7 +214,8 @@ def save_keypair(key: BlindKeyPair, out: TextIO) -> None:
     out.write(_dump_key_lines(fields))
 
 
-def _parse_key_fields(src: TextIO) -> dict[str, int]:
+def _parse_key_fields(src: TextIO, required: tuple[str, ...], what: str) -> dict[str, int]:
+    """Parse name=hex lines; each of `required` must be present."""
     fields: dict[str, int] = {}
     for lineno, line in record_lines(src):
         name, sep, value = line.partition("=")
@@ -227,22 +228,19 @@ def _parse_key_fields(src: TextIO) -> dict[str, int]:
             fields[name] = int(value.strip(), 16)
         except ValueError:
             raise ParseError(f"line {lineno}: {name!r} is not a hex integer") from None
+    for name in required:
+        if name not in fields:
+            raise ParseError(f"missing field {name!r} in {what}")
     return fields
 
 
 def load_public_key(src: TextIO) -> PublicKey:
-    fields = _parse_key_fields(src)
-    for required in ("N", "e"):
-        if required not in fields:
-            raise ParseError(f"missing field {required!r} in public key file")
+    fields = _parse_key_fields(src, ("N", "e"), "public key file")
     return PublicKey(n=fields["N"], e=fields["e"])
 
 
 def load_keypair(src: TextIO) -> BlindKeyPair:
-    fields = _parse_key_fields(src)
-    for required in ("N", "e", "d"):
-        if required not in fields:
-            raise ParseError(f"missing field {required!r} in key file")
+    fields = _parse_key_fields(src, ("N", "e", "d"), "key file")
     key = BlindKeyPair(
         n=fields["N"],
         e=fields["e"],

@@ -16,8 +16,8 @@ authentication, only integrity.
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +76,7 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
     A structurally unparsable line counts as broken at the expected seq.
     """
     try:
-        text = path.read_text(encoding="ascii")
+        text = path.read_text(encoding="ascii", errors="replace")
     except FileNotFoundError:
         return [], None
     except OSError as exc:
@@ -103,36 +103,36 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
 class BulletinBoard:
     """Append-serialized writer over a board file.
 
-    Multiple BulletinBoard objects on the same path stay consistent
-    because every append re-reads the tail state from disk.
+    Each append holds an exclusive flock on the file from its replay to its
+    write, so writers in any thread or process, through any number of
+    BulletinBoard objects on the same path, never both write seq n.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append(self, kind: str, payload: bytes) -> BoardRecord:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
-        with self._lock:
-            records, broken = _replay(self.path)
-            if broken is not None:
-                raise ChainBroken(broken)
-            seq = len(records)
-            prev = records[-1].chain if records else _GENESIS
-            payload_b64 = base64.b64encode(payload).decode("ascii")
-            rec = BoardRecord(
-                seq=seq,
-                kind=kind,
-                payload=payload,
-                chain=_chain_digest(prev, seq, kind, payload_b64),
-            )
-            try:
-                with self.path.open("a", encoding="ascii") as fh:
-                    fh.write(rec.line + "\n")
-            except OSError as exc:
-                raise IoFailure(f"cannot append to board {self.path}: {exc}") from exc
-            return rec
+        payload_b64 = base64.b64encode(payload).decode("ascii")
+        try:
+            with self.path.open("a", encoding="ascii") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+                records, broken = _replay(self.path)
+                if broken is not None:
+                    raise ChainBroken(broken)
+                seq = len(records)
+                prev = records[-1].chain if records else _GENESIS
+                rec = BoardRecord(
+                    seq=seq,
+                    kind=kind,
+                    payload=payload,
+                    chain=_chain_digest(prev, seq, kind, payload_b64),
+                )
+                fh.write(rec.line + "\n")
+        except OSError as exc:
+            raise IoFailure(f"cannot append to board {self.path}: {exc}") from exc
+        return rec
 
     def records(self) -> list[BoardRecord]:
         records, broken = _replay(self.path)

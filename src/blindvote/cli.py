@@ -117,7 +117,7 @@ class _Dir:
     def load_box(self) -> list[str]:
         if not self.ballotbox.exists():
             return []
-        with self.ballotbox.open() as fh:
+        with self.ballotbox.open(errors="replace") as fh:
             return load_ballot_box(fh)
 
     def load_requests(self) -> list[SigningRequest]:
@@ -163,7 +163,6 @@ def cmd_setup(args: argparse.Namespace) -> int:
 def cmd_vote(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     rng = _rng(args.seed)
-    config = d.load_config()
     with d.credentials.open() as fh:
         secrets = load_secrets(fh)
     if args.voter not in secrets:
@@ -174,7 +173,7 @@ def cmd_vote(args: argparse.Namespace) -> int:
     )
     with d.locked_authority() as auth:
         artifact, note = voter.prepare_and_cast(
-            config, cred, sel, auth.key.public, auth.handle_request, rng
+            auth.config, cred, sel, auth.key.public, auth.handle_request, rng
         )
     (d.ballots / f"{args.voter}.txt").write_text(artifact.text)
     (d.notes / f"{args.voter}.txt").write_text(note.text)
@@ -190,7 +189,7 @@ def cmd_authority(args: argparse.Namespace) -> int:
     mailbox = Path(args.mailbox)
     out = Path(args.out) if args.out else mailbox.with_suffix(mailbox.suffix + ".rsp")
     with d.locked_authority() as auth:
-        with mailbox.open() as fh:
+        with mailbox.open(errors="replace") as fh:
             responses = authority_mod.process_mailbox(auth, fh)
         out.write_text("".join(line + "\n" for line in responses))
     print(f"processed {len(responses)} requests, responses in {out}")
@@ -204,7 +203,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.payload is not None:
         payload = args.payload
     else:
-        payload = Path(args.file).read_text().strip().splitlines()[-1]
+        text = Path(args.file).read_text(errors="replace").strip()
+        payload = text.splitlines()[-1] if text else ""  # empty: BadFraming
     sel = voter.verify_ballot(pk, config, payload)
     party = config.party(sel.party_index)
     print(f"VALID election {config.election_id.hex()}")

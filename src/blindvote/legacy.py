@@ -164,10 +164,7 @@ def fill_note_sheet(
     for i, cand in enumerate(party.candidates):
         code = sheets.code_sheet.stance_code(cast.party_index, i, cast.stances[i])
         if copy_error_rate > 0 and rng.random() < copy_error_rate:
-            wrong = code
-            while wrong == code:
-                wrong = "".join(rng.choice(CODE_ALPHABET) for _ in range(CODE_LEN))
-            code = wrong
+            code = _fresh_code(rng, {code})
         entries.append((cand, code))
     return LegacyNoteSheet(party_index=cast.party_index, entries=tuple(entries))
 
@@ -272,7 +269,7 @@ class LegacyScenario:
 
 
 def parse_scenario(text: str) -> LegacyScenario:
-    """Directives: `HONEST <n>`, `COMPROMISED <m>`, optional `SEED <int>`."""
+    """Directives: `HONEST <n>`, `COMPROMISED <m>` (0 or >= 2), optional `SEED <int>`."""
     honest: int | None = None
     compromised: int | None = None
     seed: int | None = None
@@ -297,6 +294,8 @@ def parse_scenario(text: str) -> LegacyScenario:
         raise ParseError("scenario needs both HONEST and COMPROMISED")
     if honest < 0 or compromised < 0:
         raise ParseError("voter counts must be non-negative")
+    if compromised == 1:
+        raise ParseError("the reuse attack needs COMPROMISED 0 or at least 2")
     return LegacyScenario(honest=honest, compromised=compromised, seed=seed)
 
 

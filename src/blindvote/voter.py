@@ -1,8 +1,8 @@
 """The voter's device: fill, blind, get signed, unblind, print, verify.
 
 prepare_and_cast runs the whole pipeline and refuses to hand the voter
-anything unless the recovered signature decodes back to exactly the
-selection that was filled in. The printable artifact carries the signature
+anything unless the unblinded signature recovers exactly the padded block
+it encoded from the selection. The printable artifact carries the signature
 alone; the ballot content is recovered from it, so the payload line is the
 complete vote.
 
@@ -44,7 +44,6 @@ class BallotArtifact:
 
     text: str
     payload: str
-    nonce: bytes
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,8 @@ def prepare_and_cast(
     """Run the full voter pipeline; abort before rendering on any failure.
 
     The channel sees only the blinded value. The returned artifact has
-    already survived local verification: recover, unpad, decode, compare.
+    already survived local verification: the signature recovers exactly the
+    padded block built from the selection, so it decodes back to `sel`.
     """
     if rng is None:
         rng = random.SystemRandom()
@@ -165,20 +165,9 @@ def prepare_and_cast(
             returned=blinded_sig,
         )
     payload = format_payload(signature, pk)
-    got_sel, got_nonce = codec.decode(
-        codec.unpad(codec.int_to_bytes(recovered, pk.byte_length), config.election_id),
-        config,
-    )
-    if got_sel != sel or got_nonce != nonce:
-        raise LocalVerifyFailed(
-            "recovered ballot does not match the filled selection",
-            request=req,
-            returned=blinded_sig,
-        )
     artifact = BallotArtifact(
         text=render_ballot_text(config, sel, payload),
         payload=payload,
-        nonce=nonce,
     )
     return artifact, make_note_sheet(config, sel, payload)
 

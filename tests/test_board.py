@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 
 import pytest
@@ -145,3 +146,33 @@ def test_two_instances_interleaved(tmp_path):
         (a if i % 2 == 0 else b).append("META", str(i).encode())
     assert board_verify(path) is None
     assert len(a.records()) == 10
+
+
+def test_two_objects_from_threads_share_one_chain(tmp_path):
+    # A lock held per object would not serialize the two objects; only a
+    # lock on the file keeps two writers from both taking seq n.
+    path = tmp_path / "board.txt"
+    boards = [BulletinBoard(path), BulletinBoard(path)]
+    errors = []
+
+    def worker(i: int) -> None:
+        try:
+            for j in range(20):
+                boards[i % 2].append("META", f"{i}.{j}".encode())
+        except Exception as e:  # pragma: no cover - failure detail
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(boards[0].records()) == 80
+    assert board_verify(path) is None

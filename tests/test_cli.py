@@ -12,7 +12,7 @@ import pytest
 import blindvote
 from blindvote.authority import format_request
 from blindvote.blindsig import blind, random_unit
-from blindvote.board import board_verify
+from blindvote.board import board_append, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
@@ -167,6 +167,13 @@ class TestVerify:
         assert rc == 1
         assert err.startswith("ERR ")
 
+    def test_empty_file_is_bad_framing(self, election, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        rc, _, err = run(capsys, "verify", "--dir", str(election), "--file", str(empty))
+        assert rc == 1
+        assert err.startswith("ERR BadFraming:")
+
 
 class TestTallyAuditGate:
     def cast(self, capsys, election, voter, party, seed):
@@ -235,6 +242,18 @@ class TestTallyAuditGate:
         assert "cheat_flag=true" in out
         assert "discrepancy=1" in out
 
+    def test_undecodable_box_line_gets_a_verdict(self, election, capsys):
+        self.cast(capsys, election, "V0001", 0, 21)
+        with (election / "ballotbox.txt").open("ab") as f:
+            f.write(b"BPV1|\xe9\xff garbage\n")
+        rc, out, _ = run(capsys, "tally", "--dir", str(election))
+        assert rc == 0
+        assert "ballots total=2 accepted=1 rejected=1 duplicates=0" in out
+        assert "rejected 1 BadFraming" in out
+        rc, out, _ = run(capsys, "audit", "--dir", str(election))
+        assert rc == 0
+        assert "ballots_valid=1" in out
+
     def test_gate_decisions(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
@@ -284,6 +303,16 @@ class TestAuthorityMailbox:
         assert rc2 == 0
         assert (tmp_path / "r2").read_text().startswith("RSP ERR AlreadyRequested")
 
+    def test_undecodable_mailbox_line_gets_a_response(self, election, capsys, tmp_path):
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_bytes(b"REQ V\xff01 " + FIXTURE_ELECTION_ID.hex().encode()
+                            + b" 11 22\n\xe9\n")
+        rc, _, _ = run(capsys, "authority", "--dir", str(election),
+                       "--mailbox", str(mailbox))
+        assert rc == 0
+        rsp = (tmp_path / "mail.txt.rsp").read_text().splitlines()
+        assert rsp == ["RSP ERR UnknownVoter", "RSP ERR BadFraming"]
+
 
 class TestBoardCommand:
     def test_ok_both_flags(self, election, capsys):
@@ -307,6 +336,18 @@ class TestBoardCommand:
         rc, _, err = run(capsys, "board", "verify", "--dir", str(election))
         assert rc == 1
         assert err == "ERR ChainBroken: first broken record seq=3\n"
+
+    def test_non_ascii_digit_reported_with_seq(self, election, capsys):
+        # int() reads ARABIC-INDIC DIGIT ONE as 1, and the chain hashes the
+        # int, so only reading the board as ASCII catches this edit.
+        board_append(election / "board.txt", "META", b"second")
+        path = election / "board.txt"
+        first, second = path.read_bytes().splitlines(keepends=True)
+        assert second.startswith(b"1|")
+        path.write_bytes(first + "\u0661".encode() + second[1:])
+        rc, _, err = run(capsys, "board", "verify", "--dir", str(election))
+        assert rc == 1
+        assert err == "ERR ChainBroken: first broken record seq=1\n"
 
 
 class TestLegacySim:
@@ -430,6 +471,17 @@ class TestConcurrentProcesses:
         assert all(err.startswith("ERR AlreadyRequested:") for rc, err in results if rc)
         assert len((six_voters / "requests.log").read_text().splitlines()) == 1
         assert len((six_voters / "ballotbox.txt").read_text().splitlines()) == 1
+
+    def test_board_writers_share_one_chain(self, tmp_path, config_file):
+        # legacy-sim --board appends one CODE_PUBLISH record per honest voter.
+        scen = tmp_path / "scen.txt"
+        scen.write_text("HONEST 20\nCOMPROMISED 0\n")
+        board = tmp_path / "shared_board.txt"
+        argvs = [["legacy-sim", str(scen), "--config", str(config_file),
+                  "--board", str(board), "--seed", str(i)] for i in range(4)]
+        assert [rc for rc, _ in _race(tmp_path, argvs)] == [0] * 4
+        assert board_verify(board) is None
+        assert len(board.read_text().splitlines()) == 80
 
 
 def _load_keypair(election):

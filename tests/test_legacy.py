@@ -240,6 +240,7 @@ class TestScenarioFiles:
             "HONEST 5\nCOMPROMISED -1\n",
             "HONEST 5 extra\nCOMPROMISED 2\n",
             "WHAT 5\nHONEST 5\nCOMPROMISED 2\n",
+            "HONEST 5\nCOMPROMISED 1\n",  # one device has no one to share k with
         ],
     )
     def test_parse_errors(self, text):
