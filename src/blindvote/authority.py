@@ -163,8 +163,14 @@ def parse_request(line: str) -> SigningRequest:
 
 
 def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
-    """Parse a saved request log: one REQ line per request, blank lines skipped."""
-    return [parse_request(line) for line in src if line.strip()]
+    """Parse a saved request log: one REQ line per request, blank lines skipped.
+    A byte the file's text encoding cannot decode is BadFraming too."""
+    try:
+        return [parse_request(line) for line in src if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise BadFraming(
+            f"request log does not decode as {exc.encoding}: {exc.reason}"
+        ) from None
 
 
 def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -> None:
@@ -172,10 +178,11 @@ def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -
     so publishing the same log twice adds nothing the second time."""
     lines = [format_request(req).encode("ascii") for req in requests]
     if lines:  # an empty log reads no board, so it cannot fail here
-        on_board = {rec.payload for rec in board.records() if rec.kind == "REQUEST"}
-        for line in lines:
-            if line not in on_board:
-                board.append("REQUEST", line)
+        with board.batch() as batch:  # the check and the writes share one lock
+            on_board = {rec.payload for rec in batch.records if rec.kind == "REQUEST"}
+            for line in lines:
+                if line not in on_board:
+                    batch.append("REQUEST", line)
 
 
 def format_response(result: int | ProtocolError) -> str:

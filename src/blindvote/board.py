@@ -16,10 +16,12 @@ authentication, only integrity.
 from __future__ import annotations
 
 import base64
+import contextlib
 import fcntl
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ChainBroken, IoFailure, ParseError
 
@@ -100,39 +102,63 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
     return records, None
 
 
+class BoardBatch:
+    """The records of one publication, chained in memory; see BulletinBoard.batch.
+
+    `records` holds the board's verified records followed by the `added`
+    ones, so each new record chains from the last one in the list.
+    """
+
+    def __init__(self, records: list[BoardRecord]) -> None:
+        self.records = records
+        self.added: list[BoardRecord] = []
+
+    def append(self, kind: str, payload: bytes) -> BoardRecord:
+        if kind not in KINDS:
+            raise ValueError(f"unknown record kind {kind!r}")
+        seq = len(self.records)
+        prev = self.records[-1].chain if self.records else _GENESIS
+        payload_b64 = base64.b64encode(payload).decode("ascii")
+        rec = BoardRecord(seq, kind, payload, _chain_digest(prev, seq, kind, payload_b64))
+        self.records.append(rec)
+        self.added.append(rec)
+        return rec
+
+
 class BulletinBoard:
     """Append-serialized writer over a board file.
 
-    Each append holds an exclusive flock on the file from its replay to its
-    write, so writers in any thread or process, through any number of
-    BulletinBoard objects on the same path, never both write seq n.
+    A publication is one batch: it holds an exclusive flock on the file,
+    replays and verifies the chain once, chains its records in memory and
+    writes them all on a clean exit. An exception inside the batch writes
+    nothing. Writers in any thread or process, through any number of
+    BulletinBoard objects on the same path, therefore never both write seq
+    n. Do not append to the same path inside a batch: a second flock, on a
+    second descriptor, waits for the first forever.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
-    def append(self, kind: str, payload: bytes) -> BoardRecord:
-        if kind not in KINDS:
-            raise ValueError(f"unknown record kind {kind!r}")
-        payload_b64 = base64.b64encode(payload).decode("ascii")
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[BoardBatch]:
+        """Raises ChainBroken if the board is corrupt; I/O errors, including
+        an OSError raised inside the batch, become IoFailure."""
         try:
             with self.path.open("a", encoding="ascii") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
                 records, broken = _replay(self.path)
                 if broken is not None:
                     raise ChainBroken(broken)
-                seq = len(records)
-                prev = records[-1].chain if records else _GENESIS
-                rec = BoardRecord(
-                    seq=seq,
-                    kind=kind,
-                    payload=payload,
-                    chain=_chain_digest(prev, seq, kind, payload_b64),
-                )
-                fh.write(rec.line + "\n")
+                batch = BoardBatch(records)
+                yield batch
+                fh.write("".join(rec.line + "\n" for rec in batch.added))
         except OSError as exc:
             raise IoFailure(f"cannot append to board {self.path}: {exc}") from exc
-        return rec
+
+    def append(self, kind: str, payload: bytes) -> BoardRecord:
+        with self.batch() as batch:
+            return batch.append(kind, payload)
 
     def records(self) -> list[BoardRecord]:
         records, broken = _replay(self.path)

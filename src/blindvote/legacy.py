@@ -218,11 +218,11 @@ def legacy_tally(
             for i, chosen in enumerate(cast.stances)
         )
         published.append((cast.k.hex(), codes))
-        if board is not None:
-            board.append(
-                "CODE_PUBLISH",
-                (cast.k.hex() + " " + " ".join(codes)).encode("ascii"),
-            )
+    if board is not None and published:
+        with board.batch() as batch:
+            for k_hex, codes in published:
+                line = k_hex + " " + " ".join(codes)
+                batch.append("CODE_PUBLISH", line.encode("ascii"))
     return LegacyTallyResult(
         party_votes=tuple(party_votes),
         candidate_votes=tuple(tuple(row) for row in candidate_votes),

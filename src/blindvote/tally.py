@@ -215,20 +215,18 @@ def publish_tally(
     result: TallyResult,
     audit: AuditReport,
 ) -> int:
-    """Publish the evidence trail: one digest record per accepted ballot,
-    then the tally and audit reports. Returns the number of records added.
+    """Publish the evidence trail in one batch: one digest record per
+    accepted ballot, then the tally and audit reports. Returns the number
+    of records added.
     """
-    added = 0
     try:
-        for payload in result.accepted_payloads:
-            board.append(
-                "BALLOT_DIGEST", voter.payload_digest(payload).encode("ascii")
-            )
-            added += 1
-        board.append("TALLY", format_tally_report(config, result).encode("ascii"))
-        added += 1
-        board.append("AUDIT", format_audit_report(audit).encode("ascii"))
-        added += 1
-    except (ChainBroken, IoFailure, OSError) as exc:
+        with board.batch() as batch:
+            for payload in result.accepted_payloads:
+                batch.append(
+                    "BALLOT_DIGEST", voter.payload_digest(payload).encode("ascii")
+                )
+            batch.append("TALLY", format_tally_report(config, result).encode("ascii"))
+            batch.append("AUDIT", format_audit_report(audit).encode("ascii"))
+    except (ChainBroken, IoFailure) as exc:
         raise BoardWriteFailure(f"tally publication failed: {exc}") from exc
-    return added
+    return len(batch.added)

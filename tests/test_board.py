@@ -6,8 +6,14 @@ import threading
 
 import pytest
 
+from blindvote import board as board_mod
+from blindvote.authority import publish_requests
 from blindvote.board import KINDS, BoardRecord, BulletinBoard, board_append, board_verify
 from blindvote.errors import ChainBroken
+from blindvote.identity import SigningRequest
+from blindvote.tally import AuditReport, TallyResult, publish_tally
+
+from conftest import FIXTURE_ELECTION_ID, make_config_2x3
 
 
 def test_genesis_chain_value(tmp_path):
@@ -175,4 +181,98 @@ def test_two_objects_from_threads_share_one_chain(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(boards[0].records()) == 80
+    assert board_verify(path) is None
+
+
+def _count_replays(monkeypatch) -> list:
+    calls = []
+    replay = board_mod._replay
+
+    def counting(path):
+        calls.append(path)
+        return replay(path)
+
+    monkeypatch.setattr(board_mod, "_replay", counting)
+    return calls
+
+
+def test_publish_tally_replays_once(tmp_path, monkeypatch):
+    config = make_config_2x3()
+    payloads = tuple(f"BPV1|ballot{i}" for i in range(50))
+    result = TallyResult(
+        election_id=config.election_id,
+        party_votes=(50, 0),
+        candidate_votes=((0, 0, 0), (0, 0, 0)),
+        accepted=50,
+        accepted_payloads=payloads,
+        rejected=(),
+        duplicates=(),
+    )
+    audit = AuditReport(config.election_id, 50, 50, 50)
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    board.append("META", b"setup")
+    calls = _count_replays(monkeypatch)
+    assert publish_tally(board, config, result, audit) == 52
+    assert len(calls) == 1
+    kinds = [rec.kind for rec in board.records()]
+    assert kinds == ["META"] + ["BALLOT_DIGEST"] * 50 + ["TALLY", "AUDIT"]
+    assert board_verify(path) is None
+
+
+def test_publish_requests_replays_once(tmp_path, monkeypatch):
+    requests = [
+        SigningRequest(
+            voter_id=f"V{i:04d}",
+            election_id=FIXTURE_ELECTION_ID,
+            blinded=i + 1,
+            credential_signature=bytes(64),
+        )
+        for i in range(20)
+    ]
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    publish_requests(board, requests[:5])
+    calls = _count_replays(monkeypatch)
+    publish_requests(board, requests)
+    assert len(calls) == 1
+    assert len(board.records()) == 20
+    assert board_verify(path) is None
+
+
+def test_batch_on_corrupt_board_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    for i in range(3):
+        board.append("META", str(i).encode())
+    lines = path.read_text().splitlines()
+    seq, kind, _, chain = lines[1].split("|")
+    lines[1] = "|".join((seq, kind, "Zm9yZ2Vk", chain))
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ChainBroken) as exc_info:
+        with board.batch() as batch:
+            batch.append("META", b"never written")  # pragma: no cover
+    assert exc_info.value.seq == 1
+    assert path.read_bytes() == before
+
+
+def test_exception_inside_batch_writes_nothing(tmp_path):
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    for i in range(3):
+        board.append("META", str(i).encode())
+    before = path.read_bytes()
+
+    class Abandon(Exception):
+        pass
+
+    with pytest.raises(Abandon):
+        with board.batch() as batch:
+            for i in range(10):
+                batch.append("BALLOT_DIGEST", str(i).encode())
+            raise Abandon
+    assert path.read_bytes() == before
+    # The lock went with the batch: the next append goes through.
+    assert board.append("META", b"after").seq == 3
     assert board_verify(path) is None

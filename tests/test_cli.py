@@ -12,7 +12,7 @@ import pytest
 import blindvote
 from blindvote.authority import format_request
 from blindvote.blindsig import blind, random_unit
-from blindvote.board import board_append, board_verify
+from blindvote.board import BulletinBoard, board_append, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
@@ -254,6 +254,29 @@ class TestTallyAuditGate:
         assert rc == 0
         assert "ballots_valid=1" in out
 
+    def test_undecodable_request_log_is_bad_framing(self, election, capsys):
+        self.cast(capsys, election, "V0001", 0, 21)
+        log = election / "requests.log"
+        with log.open("ab") as f:
+            f.write(b"REQ V\xff01 " + FIXTURE_ELECTION_ID.hex().encode() + b" 11 22\n")
+        before = log.read_bytes()
+        box = (election / "ballotbox.txt").read_bytes()
+        mailbox = election.parent / "mail.txt"
+        mailbox.write_text("")
+        for argv in (
+            ["authority", "--dir", str(election), "--mailbox", str(mailbox)],
+            ["tally", "--dir", str(election)],
+            ["audit", "--dir", str(election)],
+            ["gate", "V0002", "--dir", str(election)],
+            ["vote", "--dir", str(election), "--voter", "V0002", "--party", "0",
+             "--seed", "22"],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, ""), argv
+            assert err.startswith("ERR BadFraming:"), argv
+        assert log.read_bytes() == before
+        assert (election / "ballotbox.txt").read_bytes() == box
+
     def test_gate_decisions(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
@@ -482,6 +505,20 @@ class TestConcurrentProcesses:
         assert [rc for rc, _ in _race(tmp_path, argvs)] == [0] * 4
         assert board_verify(board) is None
         assert len(board.read_text().splitlines()) == 80
+
+    def test_tallies_publish_each_request_once(self, election, tmp_path, capsys):
+        for i, vid in enumerate(("V0001", "V0002", "V0003")):
+            rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", vid,
+                           "--party", "0", "--seed", str(30 + i))
+            assert rc == 0
+        logged = (election / "requests.log").read_text().splitlines()
+        argvs = [["tally", "--dir", str(election)] for _ in range(4)]
+        assert [rc for rc, _ in _race(tmp_path, argvs)] == [0] * 4
+        board = election / "board.txt"
+        assert board_verify(board) is None
+        requests = [rec.payload.decode() for rec in BulletinBoard(board).records()
+                    if rec.kind == "REQUEST"]
+        assert sorted(requests) == sorted(logged)
 
 
 def _load_keypair(election):

@@ -1,10 +1,13 @@
 """Property tests: codec, payload framing and the directory's line formats
-each round-trip, and the readers skip blank and comment lines alike."""
+each round-trip, the readers skip blank and comment lines alike, and a board
+batch writes what the same appends one by one would."""
 
 from __future__ import annotations
 
 import base64
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -15,6 +18,7 @@ from blindvote.authority import (
     format_request,
     read_request_log,
 )
+from blindvote.board import KINDS, BulletinBoard
 from blindvote.election import (
     MAX_CANDIDATES,
     ElectionConfig,
@@ -192,3 +196,31 @@ class TestDirectoryFiles:
         assert auth.export_request_log() == [
             (req.voter_id, req.blinded, req.credential_signature) for req in requests
         ]
+
+
+class TestBoardBatch:
+    @FAST
+    @given(
+        records=st.lists(
+            st.tuples(st.sampled_from(KINDS), st.binary(max_size=40)),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_batch_writes_the_bytes_of_sequential_appends(self, records, data):
+        # Both boards start from the same records, then take the rest one
+        # append at a time or in one batch.
+        split = data.draw(st.integers(0, len(records)))
+        with tempfile.TemporaryDirectory() as tmp:
+            one_by_one = BulletinBoard(Path(tmp) / "appends.txt")
+            batched = BulletinBoard(Path(tmp) / "batch.txt")
+            for kind, payload in records[:split]:
+                one_by_one.append(kind, payload)
+                batched.append(kind, payload)
+            for kind, payload in records[split:]:
+                one_by_one.append(kind, payload)
+            with batched.batch() as batch:
+                added = [batch.append(kind, payload) for kind, payload in records[split:]]
+            assert batched.path.read_bytes() == one_by_one.path.read_bytes()
+            assert added == one_by_one.records()[split:]
