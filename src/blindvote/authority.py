@@ -120,11 +120,7 @@ class SigningAuthority:
 
     def load_request_log(self, src: TextIO) -> None:
         """Restore a previously saved log (replaces the in-memory log)."""
-        log: dict[str, SigningRequest] = {}
-        for req in read_request_log(src):
-            if req.voter_id in log:
-                raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
-            log[req.voter_id] = req
+        log = {req.voter_id: req for req in read_request_log(src)}
         with self._lock:
             self._log = log
             self._issued_count = len(log)
@@ -164,13 +160,19 @@ def parse_request(line: str) -> SigningRequest:
 
 def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
     """Parse a saved request log: one REQ line per request, blank lines skipped.
-    A byte the file's text encoding cannot decode is BadFraming too."""
+    An undecodable byte or a voter listed twice is BadFraming too."""
     try:
-        return [parse_request(line) for line in src if line.strip()]
+        requests = [parse_request(line) for line in src if line.strip()]
     except UnicodeDecodeError as exc:
         raise BadFraming(
             f"request log does not decode as {exc.encoding}: {exc.reason}"
         ) from None
+    seen: set[str] = set()
+    for req in requests:
+        if req.voter_id in seen:
+            raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
+        seen.add(req.voter_id)
+    return requests
 
 
 def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -> None:

@@ -13,7 +13,7 @@
 
 Every subcommand reads and writes only these files. Randomized steps take
 --seed so a scripted run is reproducible byte for byte. `vote` and
-`authority` flock the directory from loading requests.log to saving it.
+`authority` flock the directory from loading requests.log to replacing it.
 
 Exit codes: 0 success, 1 protocol error (stderr line `ERR <Code>: <msg>`),
 2 usage, 3 negative verdict (gate BLOCK, audit cheat flag).
@@ -105,12 +105,15 @@ class _Dir:
             auth = authority_mod.SigningAuthority(
                 self.load_config(), self.load_key(), self.load_registry()
             )
-            if self.requests.exists():
-                with self.requests.open() as fh:
-                    auth.load_request_log(fh)
+            with self.requests.open() as fh:
+                auth.load_request_log(fh)
             yield auth
-            with self.requests.open("w") as fh:
+            tmp = self.requests.with_name(self.requests.name + ".tmp")
+            with tmp.open("w") as fh:
                 auth.save_request_log(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.requests)  # readers see the old log or the new
         finally:
             os.close(fd)  # releases the lock
 
@@ -121,8 +124,6 @@ class _Dir:
             return load_ballot_box(fh)
 
     def load_requests(self) -> list[SigningRequest]:
-        if not self.requests.exists():
-            return []
         with self.requests.open() as fh:
             return authority_mod.read_request_log(fh)
 
@@ -191,7 +192,7 @@ def cmd_authority(args: argparse.Namespace) -> int:
     with d.locked_authority() as auth:
         with mailbox.open(errors="replace") as fh:
             responses = authority_mod.process_mailbox(auth, fh)
-        out.write_text("".join(line + "\n" for line in responses))
+    out.write_text("".join(line + "\n" for line in responses))
     print(f"processed {len(responses)} requests, responses in {out}")
     return EXIT_OK
 
@@ -245,10 +246,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_gate(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     registry = d.load_registry()
-    if d.requests.exists():
+    try:
         requested = {req.voter_id for req in d.load_requests()}
-    else:
-        requested = None
+    except OSError:
+        requested = None  # LookupUnavailable
     verdict = polling_gate(
         registry, requested, args.voter_id, fail_open=args.fail_open
     )

@@ -132,10 +132,6 @@ class LegacyServer:
     def issued_sheets(self, k: bytes) -> SheetSet | None:
         return self._issued.get(k)
 
-    @property
-    def issued_count(self) -> int:
-        return len(self._issued)
-
 
 def make_cast(sheets: SheetSet, config: ElectionConfig, sel: VoteSelection) -> LegacyCast:
     """Fill the selected party's sheet from a selection."""

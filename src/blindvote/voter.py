@@ -20,7 +20,7 @@ import binascii
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 from . import blindsig, codec
 from .blindsig import PublicKey

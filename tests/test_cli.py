@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import blindvote
-from blindvote.authority import format_request
+from blindvote.authority import SigningAuthority, format_request
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BulletinBoard, board_append, board_verify
 from blindvote.cli import main
@@ -135,6 +136,26 @@ class TestVote:
         assert rc == 1
         assert err.startswith("ERR PartyOutOfRange:")
 
+    def test_failed_save_keeps_the_log(self, election, capsys, tmp_path, monkeypatch):
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
+                       "--party", "0", "--seed", "22")
+        assert rc == 0
+        log = election / "requests.log"
+        before = log.read_bytes()
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text("")
+        with monkeypatch.context() as m:
+            m.setattr(SigningAuthority, "save_request_log", _disk_full)
+            rc, _, err = run(capsys, "authority", "--dir", str(election),
+                             "--mailbox", str(mailbox))
+        assert rc == 1
+        assert err.startswith("ERR IoFailure:")
+        assert log.read_bytes() == before
+        rc, _, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
+                         "--party", "1", "--seed", "23")
+        assert rc == 1
+        assert err.startswith("ERR AlreadyRequested:")
+
 
 class TestVerify:
     def test_payload_and_file_agree(self, election, capsys):
@@ -254,11 +275,17 @@ class TestTallyAuditGate:
         assert rc == 0
         assert "ballots_valid=1" in out
 
-    def test_undecodable_request_log_is_bad_framing(self, election, capsys):
+    @pytest.mark.parametrize("bad_line", [
+        pytest.param(lambda log: b"REQ V\xff01 " + FIXTURE_ELECTION_ID.hex().encode()
+                     + b" 11 22\n", id="undecodable"),
+        pytest.param(lambda log: log.read_bytes(), id="duplicate_voter"),
+    ])
+    def test_undecodable_request_log_is_bad_framing(self, election, capsys, bad_line):
         self.cast(capsys, election, "V0001", 0, 21)
         log = election / "requests.log"
+        line = bad_line(log)
         with log.open("ab") as f:
-            f.write(b"REQ V\xff01 " + FIXTURE_ELECTION_ID.hex().encode() + b" 11 22\n")
+            f.write(line)
         before = log.read_bytes()
         box = (election / "ballotbox.txt").read_bytes()
         mailbox = election.parent / "mail.txt"
@@ -288,6 +315,25 @@ class TestTallyAuditGate:
         rc, out, _ = run(capsys, "gate", "GHOST", "--dir", str(election))
         assert rc == 3
         assert out == "BLOCK GHOST reason=UnknownVoter\n"
+
+    def test_missing_request_log_fails_closed(self, election, capsys):
+        self.cast(capsys, election, "V0001", 0, 21)
+        (election / "requests.log").unlink()
+        box = (election / "ballotbox.txt").read_bytes()
+        mailbox = election.parent / "mail.txt"
+        mailbox.write_text("")
+        for argv in (
+            ["vote", "--dir", str(election), "--voter", "V0001", "--party", "0",
+             "--seed", "22"],
+            ["authority", "--dir", str(election), "--mailbox", str(mailbox)],
+            ["tally", "--dir", str(election)],
+            ["audit", "--dir", str(election)],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, ""), argv
+            assert err.startswith("ERR IoFailure:"), argv
+        assert not (election / "requests.log").exists()
+        assert (election / "ballotbox.txt").read_bytes() == box
 
     def test_gate_fail_modes_without_log(self, election, capsys):
         (election / "requests.log").unlink()
@@ -335,6 +381,20 @@ class TestAuthorityMailbox:
         assert rc == 0
         rsp = (tmp_path / "mail.txt.rsp").read_text().splitlines()
         assert rsp == ["RSP ERR UnknownVoter", "RSP ERR BadFraming"]
+
+    def test_failed_save_releases_no_response(self, election, capsys, tmp_path,
+                                              monkeypatch):
+        log = election / "requests.log"
+        before = log.read_bytes()
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text(_signed_request(election, "V0001") + "\n")
+        monkeypatch.setattr(SigningAuthority, "save_request_log", _disk_full)
+        rc, out, err = run(capsys, "authority", "--dir", str(election),
+                           "--mailbox", str(mailbox))
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR IoFailure:")
+        assert not (tmp_path / "mail.txt.rsp").exists()
+        assert log.read_bytes() == before
 
 
 class TestBoardCommand:
@@ -438,11 +498,17 @@ sys.exit(main(sys.argv[3:]))
 """
 
 
-def _race(tmp_path, argvs, timeout=60.0):
-    """Run `blindvote` once per argv, all released at once; return (rc, stderr)."""
+def _env():
+    """os.environ with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(blindvote.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _race(tmp_path, argvs, timeout=60.0):
+    """Run `blindvote` once per argv, all released at once; return (rc, stderr)."""
+    env = _env()
     go = tmp_path / "go"
     ready = [tmp_path / f"ready{i}" for i in range(len(argvs))]
     procs = [
@@ -519,6 +585,58 @@ class TestConcurrentProcesses:
         requests = [rec.payload.decode() for rec in BulletinBoard(board).records()
                     if rec.kind == "REQUEST"]
         assert sorted(requests) == sorted(logged)
+
+    def test_gate_blocks_a_logged_voter_during_votes(self, tmp_path, config_file,
+                                                     capsys):
+        d = tmp_path / "e41"
+        assert run(capsys, "setup", "--dir", str(d), "--config", str(config_file),
+                   "--voters", "41", "--bits", "512", "--seed", "9")[0] == 0
+        assert run(capsys, "vote", "--dir", str(d), "--voter", "V0001", "--party", "0",
+                   "--seed", "1")[0] == 0
+        voter = subprocess.Popen(
+            [sys.executable, "-c", _VOTE_LOOP, str(d), "41"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_env(),
+        )
+        verdicts = []
+        try:
+            while voter.poll() is None:
+                verdicts.append(run(capsys, "gate", "V0001", "--dir", str(d)))
+            _, err = voter.communicate(timeout=60)
+        finally:
+            voter.kill()
+            voter.communicate()
+        assert voter.returncode == 0, err
+        wrong = [v for v in verdicts
+                 if v[:2] != (3, "BLOCK V0001 reason=AlreadyRequested\n")]
+        assert not wrong, f"{len(wrong)} of {len(verdicts)} checks: {wrong[:3]}"
+        assert len((d / "requests.log").read_text().splitlines()) == 41
+
+
+# Casts votes for V0002..V<n> one after another in a single process.
+_VOTE_LOOP = """
+import sys
+from blindvote.cli import main
+d, n = sys.argv[1], int(sys.argv[2])
+sys.exit(max(main(["vote", "--dir", d, "--voter", f"V{i:04d}", "--party", "0",
+                   "--seed", str(i)]) for i in range(2, n + 1)))
+"""
+
+
+def _disk_full(self, out):
+    out.write("REQ V00")  # part of a line, then the disk is full
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _signed_request(election, voter_id):
+    """A REQ line for `voter_id` carrying a freshly blinded ballot."""
+    key = _load_keypair(election)
+    with (election / "credentials.txt").open() as f:
+        cred = load_secrets(f)[voter_id]
+    rng = random.Random(3)
+    block = encode(VoteSelection(party_index=0), rng.randbytes(8))
+    m = int.from_bytes(pad(block, FIXTURE_ELECTION_ID, key.byte_length), "big")
+    blinded = blind(m, random_unit(key.n, rng), key.public)
+    return format_request(sign_request(cred, FIXTURE_ELECTION_ID, blinded))
 
 
 def _load_keypair(election):
