@@ -114,12 +114,13 @@ class _Dir:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.requests)  # readers see the old log or the new
+            # Make the rename durable before a signature leaves: a rename
+            # undone by power loss would let the voter ask again.
+            os.fsync(fd)
         finally:
             os.close(fd)  # releases the lock
 
     def load_box(self) -> list[str]:
-        if not self.ballotbox.exists():
-            return []
         with self.ballotbox.open(errors="replace") as fh:
             return load_ballot_box(fh)
 

@@ -83,6 +83,11 @@ class FactorNotUnit(ProtocolError):
     pass
 
 
+class SigningFault(ProtocolError):
+    """A computed signature failed its s^e == b check and was withheld:
+    releasing it could reveal a prime factor of the authority's modulus."""
+
+
 # --- voter credentials / signing authority ---
 
 class DuplicateVoterId(ProtocolError):

@@ -37,3 +37,15 @@ def key512() -> blindsig.BlindKeyPair:
 def key2048() -> blindsig.BlindKeyPair:
     """Production-size key; generated once per session (it is expensive)."""
     return blindsig.keygen(2048, random.Random(0x5EED))
+
+
+def inject_crt_fault(monkeypatch: pytest.MonkeyPatch, p: int) -> None:
+    """Make every CRT half computed modulo `p` come out one too large, the
+    fault that would leak p through gcd(s^e - b, N) if the signature left."""
+    exact = blindsig._secret_pow
+
+    def faulty(base: int, exp: int, mod: int) -> int:
+        s = exact(base, exp, mod)
+        return s + 1 if mod == p else s
+
+    monkeypatch.setattr(blindsig, "_secret_pow", faulty)

@@ -23,12 +23,13 @@ from blindvote.errors import (
     BadFraming,
     BadSignature,
     CorruptModeDisabled,
+    SigningFault,
     UnknownVoter,
     WrongElection,
 )
 from blindvote.identity import CredentialIssuer, SigningRequest, sign_request, verify_request
 
-from conftest import FIXTURE_ELECTION_ID, make_config_2x3
+from conftest import FIXTURE_ELECTION_ID, inject_crt_fault, make_config_2x3
 
 
 def make_world(n_voters: int = 3, *, allow_corrupt: bool = False, seed: int = 1):
@@ -95,6 +96,14 @@ class TestHandleRequest:
         assert not auth.has_requested(cred.voter_id)
         auth.handle_request(req)
         assert auth.has_requested(cred.voter_id)
+
+    def test_signing_fault_logs_nothing(self, monkeypatch):
+        _, auth, (cred, *_), _ = make_world()
+        inject_crt_fault(monkeypatch, CLASSIC_TOY_KEY.p)
+        with pytest.raises(SigningFault):
+            auth.handle_request(make_request(cred, blinded=65))
+        assert (auth.request_count, auth.issued_count) == (0, 0)
+        assert not auth.has_requested(cred.voter_id)
 
 
 class TestHasRequested:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ctypes.util
+import functools
 import io
 import random
+import sys
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blindvote import blindsig
 from blindvote.blindsig import (
@@ -23,7 +27,9 @@ from blindvote.blindsig import (
     unblind,
     verify_recover,
 )
-from blindvote.errors import FactorNotUnit, MessageOutOfRange, ParseError
+from blindvote.errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
+
+from conftest import inject_crt_fault
 
 # Values computed once with an independent repeated-multiplication modexp:
 #   65 * 7^17 mod 3233          = 2034
@@ -34,6 +40,16 @@ SIGN_65 = 588
 
 def units(n: int) -> list[int]:
     return [r for r in range(1, n) if gcd(r, n) == 1]
+
+
+@functools.cache
+def seeded_keys() -> tuple[BlindKeyPair, ...]:
+    return tuple(keygen(512, random.Random(seed)) for seed in (1, 2, 3))
+
+
+def assert_agrees_with_pow(key: BlindKeyPair, b: int, r: int) -> None:
+    assert sign_blinded(b, key) == pow(b, key.d, key.n)
+    assert unblind(b, r, key.public) == b * pow(r, -1, key.n) % key.n
 
 
 class TestFixedKeys:
@@ -140,6 +156,45 @@ class TestSignBlinded:
             assert sign_blinded(b, key512) == pow(b, key512.d, key512.n)
 
 
+    def test_fault_in_one_crt_half_is_withheld(self, key512, monkeypatch):
+        inject_crt_fault(monkeypatch, key512.p)
+        with pytest.raises(SigningFault):
+            sign_blinded(1234567, key512)
+
+
+class TestSecretArithmetic:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_backend_agrees_with_pow(self, data):
+        key = data.draw(st.sampled_from(seeded_keys()))
+        b = data.draw(st.sampled_from((0, 1, key.n - 1)) | st.integers(0, key.n - 1))
+        r = data.draw(st.integers(1, key.n - 1).filter(lambda r: gcd(r, key.n) == 1))
+        assert_agrees_with_pow(key, b, r)
+
+    def test_fallback_when_libcrypto_cannot_load(self, monkeypatch):
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        blindsig._libcrypto.cache_clear()
+        try:
+            assert blindsig.backend() == "pow"
+            rng = random.Random(0xFA11)
+            for key in seeded_keys():
+                for b in (0, 1, key.n - 1, rng.randrange(key.n)):
+                    assert_agrees_with_pow(key, b, random_unit(key.n, rng))
+        finally:
+            blindsig._libcrypto.cache_clear()
+
+    def test_libcrypto_used_wherever_installed(self):
+        installed = sys.platform != "darwin" and ctypes.util.find_library("crypto")
+        assert blindsig.backend() == ("libcrypto" if installed else "pow")
+
+    def test_crt_values_stay_out_of_the_key(self, key512):
+        p, q, d = key512.p, key512.q, key512.d
+        crt = key512.dp, key512.dq, key512.qinv
+        assert crt == (d % (p - 1), d % (q - 1), pow(q, -1, p))
+        assert "dp=" not in repr(key512)
+        assert BlindKeyPair(n=key512.n, e=key512.e, d=d).dp is None
+
+
 class TestUnblindAndVerify:
     def test_unblind_r1_unchanged(self):
         assert unblind(588, 1, CLASSIC_TOY_KEY.public) == 588
@@ -213,6 +268,11 @@ class TestKeyFiles:
     def test_mismatched_primes(self):
         with pytest.raises(ParseError):
             load_keypair(io.StringIO("N=ca1\ne=11\nd=ac1\np=3\nq=5\n"))
+
+    @pytest.mark.parametrize("primes", ["p=1\nq=ca1\n", "p=ca1\nq=1\n"])
+    def test_degenerate_primes(self, primes):
+        with pytest.raises(ParseError):
+            load_keypair(io.StringIO("N=ca1\ne=11\nd=ac1\n" + primes))
 
     def test_lone_prime(self):
         with pytest.raises(ParseError):

@@ -19,7 +19,7 @@ from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
 from blindvote.identity import load_secrets, request_message, sign_request
 
-from conftest import FIXTURE_ELECTION_ID, make_config_2x3
+from conftest import FIXTURE_ELECTION_ID, inject_crt_fault, make_config_2x3
 
 
 @pytest.fixture()
@@ -239,6 +239,16 @@ class TestTallyAuditGate:
         assert rc == 0
         assert (election / "board.txt").read_text() == before
 
+    @pytest.mark.parametrize("argv", [["tally"], ["tally", "--no-publish"], ["audit"]])
+    def test_missing_ballot_box_is_io_failure(self, election, capsys, argv):
+        self.cast(capsys, election, "V0001", 0, 21)
+        (election / "ballotbox.txt").unlink()
+        board = (election / "board.txt").read_bytes()
+        rc, out, err = run(capsys, *argv, "--dir", str(election))
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR IoFailure:")
+        assert (election / "board.txt").read_bytes() == board
+
     def test_audit_clean(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         self.cast(capsys, election, "V0002", 1, 22)
@@ -395,6 +405,63 @@ class TestAuthorityMailbox:
         assert err.startswith("ERR IoFailure:")
         assert not (tmp_path / "mail.txt.rsp").exists()
         assert log.read_bytes() == before
+
+
+class TestSigningFault:
+    """A signature that fails its s^e == b check never leaves the authority,
+    and the request that asked for it is not logged."""
+
+    def test_vote_writes_nothing(self, election, capsys, monkeypatch):
+        inject_crt_fault(monkeypatch, _load_keypair(election).p)
+        log = (election / "requests.log").read_bytes()
+        rc, out, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                           "--party", "0", "--seed", "11")
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR SigningFault:")
+        assert not (election / "ballots" / "V0001.txt").exists()
+        assert not (election / "notes" / "V0001.txt").exists()
+        assert (election / "ballotbox.txt").read_text() == ""
+        assert (election / "requests.log").read_bytes() == log
+
+    def test_authority_answers_err(self, election, capsys, tmp_path, monkeypatch):
+        inject_crt_fault(monkeypatch, _load_keypair(election).p)
+        log = (election / "requests.log").read_bytes()
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text(_signed_request(election, "V0001") + "\n")
+        rc, _, _ = run(capsys, "authority", "--dir", str(election),
+                       "--mailbox", str(mailbox))
+        assert rc == 0
+        assert (tmp_path / "mail.txt.rsp").read_text() == "RSP ERR SigningFault\n"
+        assert (election / "requests.log").read_bytes() == log
+
+
+@pytest.mark.parametrize("command", ["vote", "authority"])
+def test_request_log_rename_is_synced(election, capsys, tmp_path, monkeypatch, command):
+    # Until the directory is synced, power loss can undo the rename of the
+    # new requests.log after the voter already holds a signature.
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        replace(src, dst)
+        events.append(("replace", Path(dst).name))
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    if command == "vote":
+        argv = ["--voter", "V0001", "--party", "0", "--seed", "11"]
+    else:
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text(_signed_request(election, "V0001") + "\n")
+        argv = ["--mailbox", str(mailbox)]
+    rc, _, _ = run(capsys, command, "--dir", str(election), *argv)
+    assert rc == 0
+    renamed = events.index(("replace", "requests.log"))
+    assert ("fsync", election.stat().st_ino) in events[renamed:]
 
 
 class TestBoardCommand:
