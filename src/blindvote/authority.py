@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 
 from . import blindsig
 from .board import BulletinBoard
-from .election import ElectionConfig
+from .election import ElectionConfig, hex_int
 from .errors import (
     AlreadyRequested,
     BadFraming,
@@ -146,7 +146,7 @@ def parse_request(line: str) -> SigningRequest:
         raise BadFraming("expected 'REQ <voter_id> <election_id> <blinded> <sig>'")
     try:
         election_id = bytes.fromhex(parts[2])
-        blinded = int(parts[3], 16)
+        blinded = hex_int(parts[3])
         signature = bytes.fromhex(parts[4])
     except ValueError:
         raise BadFraming("non-hex field in REQ line") from None
@@ -198,7 +198,7 @@ def parse_response(line: str) -> int:
     parts = line.split()
     if len(parts) == 3 and parts[0] == "RSP" and parts[1] == "OK":
         try:
-            return int(parts[2], 16)
+            return hex_int(parts[2])
         except ValueError:
             raise BadFraming("RSP OK value is not hex") from None
     if len(parts) == 3 and parts[0] == "RSP" and parts[1] == "ERR":

@@ -20,14 +20,30 @@ combinations of valid messages break the fixed filler bytes.
 Keys here are single purpose. Never sign arbitrary attacker-chosen data
 with a ballot key.
 
-Signing arithmetic. The two computations on secrets, the private-exponent
-powers in sign_blinded and the inverse r^-1 in unblind, run in the system
-libcrypto (OpenSSL's BN_mod_exp_mont_consttime and BN_mod_inverse, with
-BN_FLG_CONSTTIME set), loaded through ctypes on first use. Where libcrypto
-cannot be loaded, both fall back to Python's pow, which is not constant
-time. backend() names the one in use. Only those two steps are constant
-time: the CRT recombination and the int/bytes conversions around them are
-plain Python arithmetic on secret values.
+Arithmetic. Every modular exponentiation, and the one inverse on a
+secret, runs in the system libcrypto, loaded through ctypes on first use:
+
+    sign_blinded    b^d mod p, b^d mod q   constant time: d, p, q are secret
+                    (b^d mod N without p, q)
+    sign_blinded    s^e, the fault check   constant time: s is not yet released
+    blind           r^e                    constant time: r is the blinding factor
+    unblind         r^-1                   constant time: r is the blinding factor
+    keygen          a^d mod n, each        constant time: n is a candidate for a
+                    Miller-Rabin witness   secret prime
+    verify_recover  s^e                    variable time (BN_mod_exp_mont)
+
+The constant-time calls are BN_mod_exp_mont_consttime and BN_mod_inverse
+with BN_FLG_CONSTTIME set on every operand. The variable-time
+BN_mod_exp_mont only ever sees a signature raised to the public e, and a
+signature is the ballot itself, public as it is once mailed: the box and
+the count publish it. (The voter's device also checks its fresh ballot
+this way, just before printing the ballot it will mail.)
+
+Where libcrypto cannot be loaded, or a modulus is even (Montgomery form
+needs an odd one), Python's pow does the same arithmetic with identical
+results; it is not constant time. backend() names the one in use. The CRT
+recombination and the int/bytes conversions around the libcrypto calls
+are plain Python arithmetic on secret values.
 
 Before a signature leaves sign_blinded it is checked with the public
 exponent, s^e == b. A faulty CRT half would give a signature from which
@@ -45,7 +61,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, TextIO
 
-from .election import record_lines
+from .election import hex_int, record_lines
 from .errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
 
 if TYPE_CHECKING:
@@ -131,7 +147,7 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
         r += 1
     for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _secret_pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
@@ -199,7 +215,7 @@ def blind(m: int, r: int, pub: PublicKey) -> int:
         raise MessageOutOfRange(f"message must be in [0, n), got {m}")
     if not 1 <= r < pub.n or gcd(r, pub.n) != 1:
         raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
-    return m * pow(r, pub.e, pub.n) % pub.n
+    return m * _secret_pow(r, pub.e, pub.n) % pub.n
 
 
 def sign_blinded(b: int, key: BlindKeyPair) -> int:
@@ -218,7 +234,7 @@ def sign_blinded(b: int, key: BlindKeyPair) -> int:
         s = (sq + q * ((sp - sq) * key.qinv % p)) % key.n
     else:
         s = _secret_pow(b, key.d, key.n)
-    if pow(s, key.e, key.n) != b:
+    if _secret_pow(s, key.e, key.n) != b:
         raise SigningFault("signature failed the s^e == b check and was withheld")
     return s
 
@@ -240,10 +256,10 @@ def verify_recover(s: int, pub: PublicKey) -> int:
     """
     if not 0 <= s < pub.n:
         raise MessageOutOfRange("signature out of range")
-    return pow(s, pub.e, pub.n)
+    return _public_pow(s, pub.e, pub.n)
 
 
-# --- arithmetic on secrets ---
+# --- modular arithmetic through libcrypto ---
 
 _BN_FLG_CONSTTIME = 0x04  # openssl/bn.h
 
@@ -269,6 +285,7 @@ def _libcrypto() -> ctypes.CDLL | None:
             ("BN_set_flags", None, [ptr, c_int]),
             ("BN_bin2bn", ptr, [ctypes.c_char_p, c_int, ptr]),
             ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
+            ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_inverse", ptr, [ptr, ptr, ptr, ptr]),
         ):
@@ -280,16 +297,18 @@ def _libcrypto() -> ctypes.CDLL | None:
 
 
 def backend() -> str:
-    """Which arithmetic runs sign_blinded and unblind's secret steps:
-    "libcrypto" (constant time) or "pow" (the fallback)."""
+    """Which arithmetic runs the exponentiations and r^-1: "libcrypto"
+    or "pow" (the fallback)."""
     return "pow" if _libcrypto() is None else "libcrypto"
 
 
 @contextlib.contextmanager
-def _bignums(lib: ctypes.CDLL, *values: int) -> Iterator[tuple[int, list[int]]]:
-    """A fresh BN_CTX and constant-time BIGNUMs holding `values`. Every
-    BIGNUM is cleared before it is freed. A BN_CTX is not thread-safe, so
-    each call gets its own."""
+def _bignums(
+    lib: ctypes.CDLL, *values: int, consttime: bool = True
+) -> Iterator[tuple[int, list[int]]]:
+    """A fresh BN_CTX and BIGNUMs holding `values`, flagged constant-time
+    unless `consttime` is false. Every BIGNUM is cleared before it is
+    freed. A BN_CTX is not thread-safe, so each call gets its own."""
     ctx = lib.BN_CTX_new()
     nums: list[int] = []
     try:
@@ -301,7 +320,8 @@ def _bignums(lib: ctypes.CDLL, *values: int) -> Iterator[tuple[int, list[int]]]:
             if not bn:
                 raise MemoryError("libcrypto BN_bin2bn failed")
             nums.append(bn)
-            lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
+            if consttime:
+                lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
         yield ctx, nums
     finally:
         for bn in nums:
@@ -319,15 +339,26 @@ def _bn_to_int(lib: ctypes.CDLL, bn: int, mod: int) -> int:
     return int.from_bytes(out.raw, "big")
 
 
-def _secret_pow(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod for a secret exp and base in [0, mod)."""
+def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
+    """base^exp mod mod for base in [0, mod) and exp >= 0."""
     lib = _libcrypto()
     if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
         return pow(base, exp, mod)
-    with _bignums(lib, 0, base, exp, mod) as (ctx, (r, a, p, m)):
-        if lib.BN_mod_exp_mont_consttime(r, a, p, m, ctx, None) != 1:
-            raise MemoryError("libcrypto BN_mod_exp_mont_consttime failed")
+    fn = lib.BN_mod_exp_mont_consttime if consttime else lib.BN_mod_exp_mont
+    with _bignums(lib, 0, base, exp, mod, consttime=consttime) as (ctx, (r, a, p, m)):
+        if fn(r, a, p, m, ctx, None) != 1:
+            raise MemoryError(f"libcrypto {fn.__name__} failed")
         return _bn_to_int(lib, r, mod)
+
+
+def _secret_pow(base: int, exp: int, mod: int) -> int:
+    """base^exp mod mod, in constant time, when any operand is secret."""
+    return _mod_exp(base, exp, mod, consttime=True)
+
+
+def _public_pow(base: int, exp: int, mod: int) -> int:
+    """base^exp mod mod, in variable time, for operands that are all public."""
+    return _mod_exp(base, exp, mod, consttime=False)
 
 
 def _secret_inverse(a: int, mod: int) -> int:
@@ -368,7 +399,7 @@ def _parse_key_fields(src: TextIO, required: tuple[str, ...], what: str) -> dict
         if name in fields:
             raise ParseError(f"line {lineno}: duplicate field {name!r}")
         try:
-            fields[name] = int(value.strip(), 16)
+            fields[name] = hex_int(value.strip())
         except ValueError:
             raise ParseError(f"line {lineno}: {name!r} is not a hex integer") from None
     for name in required:

@@ -231,7 +231,11 @@ class TestFraming:
 
     @pytest.mark.parametrize(
         "line",
-        ["REQ short", "NOPE a b c d", "REQ v zz 10 aa", "RSP OK zz", "RSP what"],
+        ["REQ short", "NOPE a b c d", "REQ v zz 10 aa", "RSP OK zz", "RSP what"]
+        # Hex that int(x, 16) would take: a sign, a prefix, an underscore,
+        # a non-ASCII digit.
+        + [f"{head} {x}{tail}" for x in ("-1f", "+1f", "0x1f", "1_f", "\u0661")
+           for head, tail in (("REQ v 00", " aa"), ("RSP OK", ""))],
     )
     def test_bad_framing(self, line):
         with pytest.raises(BadFraming):
@@ -242,11 +246,13 @@ class TestFraming:
         good = format_request(make_request(creds[0], blinded=65))
         dup = format_request(make_request(creds[0], blinded=66))
         garbage = "REQ broken"
-        responses = process_mailbox(auth, [good, "", dup, garbage])
-        assert responses[0].startswith("RSP OK ")
-        assert responses[1] == "RSP ERR AlreadyRequested"
-        assert responses[2] == "RSP ERR BadFraming"
-        signed = parse_response(responses[0])
+        negative = good.replace(" 41 ", " -1f ")  # once an uncaught OverflowError
+        responses = process_mailbox(auth, [negative, good, "", dup, garbage])
+        assert responses[0] == "RSP ERR BadFraming"
+        assert responses[1].startswith("RSP OK ")
+        assert responses[2] == "RSP ERR AlreadyRequested"
+        assert responses[3] == "RSP ERR BadFraming"
+        signed = parse_response(responses[1])
         assert verify_recover(signed, CLASSIC_TOY_KEY.public) == 65
 
 

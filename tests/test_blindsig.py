@@ -42,14 +42,23 @@ def units(n: int) -> list[int]:
     return [r for r in range(1, n) if gcd(r, n) == 1]
 
 
-@functools.cache
-def seeded_keys() -> tuple[BlindKeyPair, ...]:
+def seeded_keygen() -> tuple[BlindKeyPair, ...]:
     return tuple(keygen(512, random.Random(seed)) for seed in (1, 2, 3))
 
 
+@functools.cache
+def seeded_keys() -> tuple[BlindKeyPair, ...]:
+    return seeded_keygen()
+
+
 def assert_agrees_with_pow(key: BlindKeyPair, b: int, r: int) -> None:
-    assert sign_blinded(b, key) == pow(b, key.d, key.n)
-    assert unblind(b, r, key.public) == b * pow(r, -1, key.n) % key.n
+    """Every exponentiation and the inverse, against Python's pow; b doubles
+    as the message, the blinded value and the signature."""
+    n, e = key.n, key.e
+    assert sign_blinded(b, key) == pow(b, key.d, n)
+    assert blind(b, r, key.public) == b * pow(r, e, n) % n
+    assert unblind(b, r, key.public) == b * pow(r, -1, n) % n
+    assert verify_recover(b, key.public) == pow(b, e, n)
 
 
 class TestFixedKeys:
@@ -172,16 +181,36 @@ class TestSecretArithmetic:
         assert_agrees_with_pow(key, b, r)
 
     def test_fallback_when_libcrypto_cannot_load(self, monkeypatch):
+        keys = seeded_keys()  # on whichever backend is installed
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         blindsig._libcrypto.cache_clear()
         try:
             assert blindsig.backend() == "pow"
+            # Miller-Rabin draws the same witnesses on both backends.
+            assert seeded_keygen() == keys
             rng = random.Random(0xFA11)
-            for key in seeded_keys():
+            for key in keys:
                 for b in (0, 1, key.n - 1, rng.randrange(key.n)):
                     assert_agrees_with_pow(key, b, random_unit(key.n, rng))
         finally:
             blindsig._libcrypto.cache_clear()
+
+    def test_only_verify_recover_takes_the_variable_time_path(self, key512, monkeypatch):
+        public_calls = []
+        exact = blindsig._public_pow
+
+        def spy(base: int, exp: int, mod: int) -> int:
+            public_calls.append((base, exp, mod))
+            return exact(base, exp, mod)
+
+        monkeypatch.setattr(blindsig, "_public_pow", spy)
+        pub = key512.public
+        r = random_unit(key512.n, random.Random(4))
+        s = unblind(sign_blinded(blind(1234567, r, pub), key512), r, pub)
+        keygen(256, random.Random(5))
+        assert public_calls == []
+        assert verify_recover(s, pub) == 1234567
+        assert public_calls == [(s, pub.e, pub.n)]
 
     def test_libcrypto_used_wherever_installed(self):
         installed = sys.platform != "darwin" and ctypes.util.find_library("crypto")
@@ -264,6 +293,23 @@ class TestKeyFiles:
     def test_bad_hex(self):
         with pytest.raises(ParseError):
             load_public_key(io.StringIO("N=xyz\ne=3\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "N=ca1\ne=11\nd=-93\n",  # once loaded, then failed at the first sign
+            "N=ca1\ne=-3\nd=ac1\n",
+            "N=0xca1\ne=11\nd=ac1\n",
+            "N=ca1\ne=+11\nd=ac1\n",
+            "N=c_a1\ne=11\nd=ac1\n",
+            "N=ca1\ne=\nd=ac1\n",
+        ],
+    )
+    def test_non_canonical_hex(self, text):
+        with pytest.raises(ParseError):
+            load_keypair(io.StringIO(text))
+        with pytest.raises(ParseError):
+            load_public_key(io.StringIO(text))
 
     def test_mismatched_primes(self):
         with pytest.raises(ParseError):

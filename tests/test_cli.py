@@ -392,6 +392,20 @@ class TestAuthorityMailbox:
         rsp = (tmp_path / "mail.txt.rsp").read_text().splitlines()
         assert rsp == ["RSP ERR UnknownVoter", "RSP ERR BadFraming"]
 
+    def test_negative_blinded_value_gets_bad_framing(self, election, capsys, tmp_path):
+        good = _signed_request(election, "V0001")
+        voter, eid, _, sig = good.split()[1:]
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text(f"REQ V0002 {eid} -1f {sig}\n{good}\n")
+        rc, _, _ = run(capsys, "authority", "--dir", str(election),
+                       "--mailbox", str(mailbox))
+        assert rc == 0
+        rsp = (tmp_path / "mail.txt.rsp").read_text().splitlines()
+        assert rsp[0] == "RSP ERR BadFraming"
+        assert rsp[1].startswith("RSP OK ")
+        logged = (election / "requests.log").read_text().splitlines()
+        assert [line.split()[1] for line in logged] == [voter]
+
     def test_failed_save_releases_no_response(self, election, capsys, tmp_path,
                                               monkeypatch):
         log = election / "requests.log"
