@@ -53,13 +53,12 @@ failed check raises SigningFault and releases no value.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import random
 import sys
 from dataclasses import dataclass, field
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from .election import hex_int, record_lines
 from .errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
@@ -84,6 +83,11 @@ class PublicKey:
     n: int
     e: int
 
+    def __post_init__(self) -> None:
+        # pow and libcrypto disagree on a negative e, and e = 0 signs nothing.
+        if self.e < 1:
+            raise ValueError(f"public exponent e must be at least 1, got {self.e}")
+
     @property
     def byte_length(self) -> int:
         """Width of the modulus in bytes; all wire values use this width."""
@@ -94,8 +98,9 @@ class PublicKey:
 class BlindKeyPair:
     """Full signing key. p and q, when present, enable CRT signing.
 
-    The CRT values d mod (p-1), d mod (q-1) and q^-1 mod p are derived once
-    here; they take no part in equality, repr or the key file.
+    The public half and the CRT values d mod (p-1), d mod (q-1) and
+    q^-1 mod p are derived once here; they take no part in equality, repr
+    or the key file.
     """
 
     n: int
@@ -106,8 +111,10 @@ class BlindKeyPair:
     dp: int | None = field(init=False, repr=False, compare=False)
     dq: int | None = field(init=False, repr=False, compare=False)
     qinv: int | None = field(init=False, repr=False, compare=False)
+    public: PublicKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "public", PublicKey(n=self.n, e=self.e))  # checks e
         crt = None, None, None
         if self.p is not None and self.q is not None:
             if min(self.p, self.q) < 2:
@@ -116,10 +123,6 @@ class BlindKeyPair:
             crt = self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
         for name, value in zip(("dp", "dq", "qinv"), crt):
             object.__setattr__(self, name, value)
-
-    @property
-    def public(self) -> PublicKey:
-        return PublicKey(n=self.n, e=self.e)
 
     @property
     def byte_length(self) -> int:
@@ -302,19 +305,21 @@ def backend() -> str:
     return "pow" if _libcrypto() is None else "libcrypto"
 
 
-@contextlib.contextmanager
-def _bignums(
-    lib: ctypes.CDLL, *values: int, consttime: bool = True
-) -> Iterator[tuple[int, list[int]]]:
-    """A fresh BN_CTX and BIGNUMs holding `values`, flagged constant-time
-    unless `consttime` is false. Every BIGNUM is cleared before it is
-    freed. A BN_CTX is not thread-safe, so each call gets its own."""
+def _bn_call(
+    lib: ctypes.CDLL, fn: Callable[..., int], values: tuple[int, ...], consttime: bool, *tail
+) -> int:
+    """Run fn(r, *values, ctx, *tail) on fresh BIGNUMs, each flagged
+    constant-time unless `consttime` is false, and return r, which fits the
+    width of the last value, the modulus. Every BIGNUM is cleared before it
+    is freed. A BN_CTX is not thread-safe, so each call gets its own."""
+    import ctypes
+
     ctx = lib.BN_CTX_new()
     nums: list[int] = []
     try:
         if not ctx:
             raise MemoryError("libcrypto BN_CTX_new failed")
-        for value in values:
+        for value in (0, *values):
             raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
             bn = lib.BN_bin2bn(raw, len(raw), None)
             if not bn:
@@ -322,21 +327,17 @@ def _bignums(
             nums.append(bn)
             if consttime:
                 lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
-        yield ctx, nums
+        if not fn(*nums, ctx, *tail):
+            raise MemoryError(f"libcrypto {fn.__name__} failed")
+        width = (values[-1].bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        if lib.BN_bn2binpad(nums[0], out, width) != width:
+            raise MemoryError("libcrypto BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
     finally:
         for bn in nums:
             lib.BN_clear_free(bn)
         lib.BN_CTX_free(ctx)
-
-
-def _bn_to_int(lib: ctypes.CDLL, bn: int, mod: int) -> int:
-    import ctypes
-
-    width = (mod.bit_length() + 7) // 8
-    out = ctypes.create_string_buffer(width)
-    if lib.BN_bn2binpad(bn, out, width) != width:
-        raise MemoryError("libcrypto BN_bn2binpad failed")
-    return int.from_bytes(out.raw, "big")
 
 
 def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
@@ -345,10 +346,7 @@ def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
     if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
         return pow(base, exp, mod)
     fn = lib.BN_mod_exp_mont_consttime if consttime else lib.BN_mod_exp_mont
-    with _bignums(lib, 0, base, exp, mod, consttime=consttime) as (ctx, (r, a, p, m)):
-        if fn(r, a, p, m, ctx, None) != 1:
-            raise MemoryError(f"libcrypto {fn.__name__} failed")
-        return _bn_to_int(lib, r, mod)
+    return _bn_call(lib, fn, (base, exp, mod), consttime, None)
 
 
 def _secret_pow(base: int, exp: int, mod: int) -> int:
@@ -366,10 +364,7 @@ def _secret_inverse(a: int, mod: int) -> int:
     lib = _libcrypto()
     if lib is None:
         return pow(a, -1, mod)
-    with _bignums(lib, 0, a, mod) as (ctx, (r, x, m)):
-        if not lib.BN_mod_inverse(r, x, m, ctx):
-            raise MemoryError("libcrypto BN_mod_inverse failed")
-        return _bn_to_int(lib, r, mod)
+    return _bn_call(lib, lib.BN_mod_inverse, (a, mod), True)
 
 
 def _dump_key_lines(fields: dict[str, int]) -> str:
@@ -410,7 +405,10 @@ def _parse_key_fields(src: TextIO, required: tuple[str, ...], what: str) -> dict
 
 def load_public_key(src: TextIO) -> PublicKey:
     fields = _parse_key_fields(src, ("N", "e"), "public key file")
-    return PublicKey(n=fields["N"], e=fields["e"])
+    try:
+        return PublicKey(n=fields["N"], e=fields["e"])
+    except ValueError as exc:
+        raise ParseError(f"unusable public key: {exc}") from None
 
 
 def load_keypair(src: TextIO) -> BlindKeyPair:
@@ -424,7 +422,7 @@ def load_keypair(src: TextIO) -> BlindKeyPair:
             q=fields.get("q"),
         )
     except ValueError as exc:
-        raise ParseError(f"unusable p and q: {exc}") from None
+        raise ParseError(f"unusable key: {exc}") from None
     if (key.p is None) != (key.q is None):
         raise ParseError("key file must carry both p and q or neither")
     if key.p is not None and key.q is not None and key.p * key.q != key.n:

@@ -6,8 +6,12 @@ One record per line:
 
 `chain` is sha256(prev_chain ‖ "seq|kind|payload_b64") where prev_chain is
 the raw 32-byte digest of the previous record (32 zero bytes before the
-first). Any edit to a committed line changes its digest and breaks every
-later link, so corruption is detectable by a full replay from genesis.
+first). The digest is taken over the line's text exactly as written, and
+chain_hex must be that digest in lower-case hex, so the chain commits to
+every byte of every line: any other spelling of a record (a seq of `+1` or
+`01`, upper-case or spaced hex) breaks the chain at that line, as does any
+edit, and every later link with it. Corruption is therefore detectable by
+a full replay from genesis.
 
 The board is public by design; it carries no secrets and needs no
 authentication, only integrity.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ChainBroken, IoFailure, ParseError
+from .errors import ChainBroken, IoFailure
 
 KINDS = ("REQUEST", "BALLOT_DIGEST", "TALLY", "AUDIT", "CODE_PUBLISH", "META")
 
@@ -43,39 +47,18 @@ class BoardRecord:
         return f"{self.seq}|{self.kind}|{payload_b64}|{self.chain.hex()}"
 
 
-def _chain_digest(prev: bytes, seq: int, kind: str, payload_b64: str) -> bytes:
-    return hashlib.sha256(prev + f"{seq}|{kind}|{payload_b64}".encode("ascii")).digest()
-
-
-def _parse_line(lineno: int, line: str) -> BoardRecord:
-    parts = line.split("|")
-    if len(parts) != 4:
-        raise ParseError(f"board line {lineno}: expected 4 |-separated fields")
-    seq_text, kind, payload_b64, chain_hex = parts
-    try:
-        seq = int(seq_text)
-    except ValueError:
-        raise ParseError(f"board line {lineno}: bad seq {seq_text!r}") from None
-    if kind not in KINDS:
-        raise ParseError(f"board line {lineno}: unknown kind {kind!r}")
-    try:
-        payload = base64.b64decode(payload_b64, validate=True)
-    except ValueError:
-        raise ParseError(f"board line {lineno}: payload is not base64") from None
-    try:
-        chain = bytes.fromhex(chain_hex)
-    except ValueError:
-        raise ParseError(f"board line {lineno}: chain is not hex") from None
-    if len(chain) != 32:
-        raise ParseError(f"board line {lineno}: chain must be 32 bytes")
-    return BoardRecord(seq=seq, kind=kind, payload=payload, chain=chain)
+def _chain_digest(prev: bytes, body: str) -> bytes:
+    """The one place a record is hashed: `body` is its line up to the last |."""
+    return hashlib.sha256(prev + body.encode("ascii")).digest()
 
 
 def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
     """Read and recompute the whole chain.
 
-    Returns (records up to the first break, first broken seq or None).
-    A structurally unparsable line counts as broken at the expected seq.
+    Returns (records up to the first break, first broken seq or None). The
+    digest covers each line's text as written, so a line breaks the chain
+    unless its seq is exactly its position, its kind is known, its payload
+    is strict base64 and its chain hex is the lower-case digest itself.
     """
     try:
         text = path.read_text(encoding="ascii", errors="replace")
@@ -85,20 +68,22 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
         raise IoFailure(f"cannot read board {path}: {exc}") from exc
     records: list[BoardRecord] = []
     prev = _GENESIS
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        expected_seq = lineno - 1
+    for seq, line in enumerate(text.splitlines()):
+        body, _, chain_hex = line.rpartition("|")
+        # Each check fails on a non-ASCII byte, read as U+FFFD, so only ASCII
+        # text reaches the digest.
         try:
-            rec = _parse_line(lineno, line)
-        except ParseError:
-            return records, expected_seq
-        payload_b64 = base64.b64encode(rec.payload).decode("ascii")
-        if (
-            rec.seq != expected_seq
-            or rec.chain != _chain_digest(prev, rec.seq, rec.kind, payload_b64)
-        ):
-            return records, expected_seq
-        records.append(rec)
-        prev = rec.chain
+            seq_text, kind, payload_b64 = body.split("|")
+            payload = base64.b64decode(payload_b64, validate=True)
+        except ValueError:
+            return records, seq
+        if seq_text != str(seq) or kind not in KINDS:
+            return records, seq
+        chain = _chain_digest(prev, body)
+        if chain_hex != chain.hex():
+            return records, seq
+        records.append(BoardRecord(seq, kind, payload, chain))
+        prev = chain
     return records, None
 
 
@@ -118,8 +103,8 @@ class BoardBatch:
             raise ValueError(f"unknown record kind {kind!r}")
         seq = len(self.records)
         prev = self.records[-1].chain if self.records else _GENESIS
-        payload_b64 = base64.b64encode(payload).decode("ascii")
-        rec = BoardRecord(seq, kind, payload, _chain_digest(prev, seq, kind, payload_b64))
+        body = f"{seq}|{kind}|{base64.b64encode(payload).decode('ascii')}"
+        rec = BoardRecord(seq, kind, payload, _chain_digest(prev, body))
         self.records.append(rec)
         self.added.append(rec)
         return rec

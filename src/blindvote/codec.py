@@ -88,16 +88,16 @@ def decode(block: bytes, config: ElectionConfig) -> tuple[VoteSelection, bytes]:
             f"party index {party_index} not in 0..{len(config.parties) - 1}"
         )
     n_cands = len(config.parties[party_index].candidates)
-    approvals = set()
-    for i in range(MASK_BITS):
-        if block[MASK_OFFSET + i // 8] >> (i % 8) & 1:
-            if i >= n_cands:
-                raise StrayApprovalBit(
-                    f"approval bit {i} set but party {party_index} has {n_cands} candidates"
-                )
-            approvals.add(i)
+    mask = int.from_bytes(block[MASK_OFFSET:RESERVED_OFFSET], "little")
+    stray = mask >> n_cands
+    if stray:
+        i = n_cands + (stray & -stray).bit_length() - 1  # the lowest stray bit
+        raise StrayApprovalBit(
+            f"approval bit {i} set but party {party_index} has {n_cands} candidates"
+        )
+    approvals = frozenset(i for i in range(n_cands) if mask >> i & 1)
     nonce = block[1 : 1 + NONCE_LEN]
-    return VoteSelection(party_index=party_index, approvals=frozenset(approvals)), nonce
+    return VoteSelection(party_index=party_index, approvals=approvals), nonce
 
 
 def pad(block: bytes, election_id: bytes, modulus_len: int) -> bytes:
@@ -129,8 +129,7 @@ def unpad(padded: bytes, expected_election_id: bytes) -> bytes:
     if padded[1] != PAD_TAG:
         raise BadStructure(f"tag byte is 0x{padded[1]:02x}, expected 0x{PAD_TAG:02x}")
     sep_at = k - BALLOT_LEN - 1
-    filler = padded[10:sep_at]
-    if any(b != 0xFF for b in filler):
+    if padded[10:sep_at] != b"\xff" * (sep_at - 10):
         raise BadStructure("filler is not all 0xFF")
     if padded[sep_at] != 0x00:
         raise BadStructure("missing 0x00 separator before the ballot block")

@@ -75,6 +75,15 @@ class TestFixedKeys:
         assert CLASSIC_TOY_KEY.d == 2753
         assert CLASSIC_TOY_KEY.e * CLASSIC_TOY_KEY.d % phi == 1
 
+    @pytest.mark.parametrize("e", [0, -17])
+    def test_non_positive_exponent_refused(self, e):
+        # A negative e once reached pow, which inverts, and libcrypto, which
+        # raised OverflowError: the two backends disagreed.
+        with pytest.raises(ValueError, match="exponent e"):
+            PublicKey(n=3233, e=e)
+        with pytest.raises(ValueError, match="exponent e"):
+            BlindKeyPair(n=3233, e=e, d=2753, p=61, q=53)
+
     def test_byte_length(self):
         assert TOY_KEY.byte_length == 1
         assert CLASSIC_TOY_KEY.byte_length == 2
@@ -309,6 +318,13 @@ class TestKeyFiles:
         with pytest.raises(ParseError):
             load_keypair(io.StringIO(text))
         with pytest.raises(ParseError):
+            load_public_key(io.StringIO(text))
+
+    def test_zero_exponent(self):
+        text = "N=ca1\ne=0\nd=ac1\n"
+        with pytest.raises(ParseError, match="exponent e"):
+            load_keypair(io.StringIO(text))
+        with pytest.raises(ParseError, match="exponent e"):
             load_public_key(io.StringIO(text))
 
     def test_mismatched_primes(self):

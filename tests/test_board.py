@@ -9,6 +9,7 @@ import pytest
 from blindvote import board as board_mod
 from blindvote.authority import publish_requests
 from blindvote.board import KINDS, BoardRecord, BulletinBoard, board_append, board_verify
+from blindvote.cli import main
 from blindvote.errors import ChainBroken
 from blindvote.identity import SigningRequest
 from blindvote.tally import AuditReport, TallyResult, publish_tally
@@ -72,6 +73,35 @@ def test_tamper_detection_points_at_first_bad_record(tmp_path):
     forged = "|".join((seq, kind, "Zm9yZ2Vk", chain))
     path.write_text("\n".join(lines[:4] + [forged] + lines[5:]) + "\n")
     assert board_verify(path) == 4
+
+
+@pytest.mark.parametrize(
+    "seq, field, respell",
+    [
+        (1, 0, lambda seq: "+1"),
+        (1, 0, lambda seq: "01"),
+        (2, 3, str.upper),
+        (3, 3, lambda chain: " ".join(chain[i : i + 2] for i in range(0, 64, 2))),
+    ],
+    ids=["plus-seq", "zero-padded-seq", "upper-case-chain", "spaced-chain"],
+)
+def test_respelled_record_breaks_the_chain(tmp_path, capsys, seq, field, respell):
+    # int() and bytes.fromhex() read each respelling as the same record, but
+    # the chain commits to the line's text, so the board's bytes are fixed.
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    for i in range(5):
+        board.append("META", f"record {i}".encode())
+    lines = path.read_text().splitlines()
+    fields = lines[seq].split("|")
+    respelled = respell(fields[field])
+    assert respelled != fields[field]
+    fields[field] = respelled
+    lines[seq] = "|".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert board_verify(path) == seq
+    assert main(["board", "verify", "--board", str(path)]) == 1
+    assert capsys.readouterr().err == f"ERR ChainBroken: first broken record seq={seq}\n"
 
 
 def test_truncation_detected(tmp_path):

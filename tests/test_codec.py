@@ -81,11 +81,13 @@ class TestDecode:
             codec.decode(bytes(block), config2x3)
 
     def test_stray_approval_bit(self, config2x3):
-        # Bit 3 for a 3-candidate party is one past the roster.
-        block = bytearray(codec.encode(VoteSelection(party_index=1), ZERO_NONCE))
-        block[10] |= 1 << 3
-        with pytest.raises(StrayApprovalBit):
-            codec.decode(bytes(block), config2x3)
+        # Bit 3 for a 3-candidate party is one past the roster; bit 151 is
+        # the mask's last bit.
+        for bit in (3, 151):
+            block = bytearray(codec.encode(VoteSelection(party_index=1), ZERO_NONCE))
+            block[10 + bit // 8] |= 1 << (bit % 8)
+            with pytest.raises(StrayApprovalBit, match=f"approval bit {bit} set"):
+                codec.decode(bytes(block), config2x3)
 
     def test_wrong_length(self, config2x3):
         with pytest.raises(DecodeError):

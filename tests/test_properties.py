@@ -18,7 +18,7 @@ from blindvote.authority import (
     format_request,
     read_request_log,
 )
-from blindvote.board import KINDS, BulletinBoard
+from blindvote.board import KINDS, BulletinBoard, board_verify
 from blindvote.election import (
     MAX_CANDIDATES,
     ElectionConfig,
@@ -224,3 +224,34 @@ class TestBoardBatch:
                 added = [batch.append(kind, payload) for kind, payload in records[split:]]
             assert batched.path.read_bytes() == one_by_one.path.read_bytes()
             assert added == one_by_one.records()[split:]
+
+    @FAST
+    @given(
+        records=st.lists(
+            st.tuples(st.sampled_from(KINDS), st.binary(max_size=40)),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_any_changed_character_breaks_the_chain_at_its_line(self, records, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            board = BulletinBoard(Path(tmp) / "board.txt")
+            for kind, payload in records:
+                board.append(kind, payload)
+            lines = board.path.read_text().splitlines()
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            # The chain hex and a change of case get extra weight, because
+            # bytes.fromhex would read an upper-case digit as the same byte.
+            n = len(lines[i])
+            j = data.draw(st.integers(0, n - 1) | st.integers(n - 64, n - 1), label="column")
+            char = data.draw(
+                (
+                    st.just(lines[i][j].swapcase())
+                    | st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+                ).filter(lambda c: c != lines[i][j]),
+                label="replacement",
+            )
+            lines[i] = lines[i][:j] + char + lines[i][j + 1 :]
+            board.path.write_text("\n".join(lines) + "\n")
+            assert board_verify(board.path) == i
