@@ -1,6 +1,6 @@
 """Hash-chained public bulletin board.
 
-One record per line:
+One record per line, each ended by "\n":
 
     seq|kind|payload_b64|chain_hex
 
@@ -9,9 +9,10 @@ the raw 32-byte digest of the previous record (32 zero bytes before the
 first). The digest is taken over the line's text exactly as written, and
 chain_hex must be that digest in lower-case hex, so the chain commits to
 every byte of every line: any other spelling of a record (a seq of `+1` or
-`01`, upper-case or spaced hex) breaks the chain at that line, as does any
-edit, and every later link with it. Corruption is therefore detectable by
-a full replay from genesis.
+`01`, upper-case or spaced hex, a CR before the "\n"), text after the last
+"\n", or any edit breaks the chain at that line, and every later link with
+it. A board that verifies is therefore exactly its records' lines, each
+followed by "\n", and corruption is detectable by a full replay from genesis.
 
 The board is public by design; it carries no secrets and needs no
 authentication, only integrity.
@@ -40,11 +41,7 @@ class BoardRecord:
     kind: str
     payload: bytes
     chain: bytes
-
-    @property
-    def line(self) -> str:
-        payload_b64 = base64.b64encode(self.payload).decode("ascii")
-        return f"{self.seq}|{self.kind}|{payload_b64}|{self.chain.hex()}"
+    line: str  # the record's text on the board, without its "\n"
 
 
 def _chain_digest(prev: bytes, body: str) -> bytes:
@@ -58,17 +55,18 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
     Returns (records up to the first break, first broken seq or None). The
     digest covers each line's text as written, so a line breaks the chain
     unless its seq is exactly its position, its kind is known, its payload
-    is strict base64 and its chain hex is the lower-case digest itself.
+    is strict base64, its chain hex is the lower-case digest and "\n" ends it.
     """
     try:
-        text = path.read_text(encoding="ascii", errors="replace")
+        text = path.read_bytes().decode("ascii", errors="replace")
     except FileNotFoundError:
         return [], None
     except OSError as exc:
         raise IoFailure(f"cannot read board {path}: {exc}") from exc
+    *lines, tail = text.split("\n")
     records: list[BoardRecord] = []
     prev = _GENESIS
-    for seq, line in enumerate(text.splitlines()):
+    for seq, line in enumerate(lines):
         body, _, chain_hex = line.rpartition("|")
         # Each check fails on a non-ASCII byte, read as U+FFFD, so only ASCII
         # text reaches the digest.
@@ -82,9 +80,9 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
         chain = _chain_digest(prev, body)
         if chain_hex != chain.hex():
             return records, seq
-        records.append(BoardRecord(seq, kind, payload, chain))
+        records.append(BoardRecord(seq, kind, payload, chain, line))
         prev = chain
-    return records, None
+    return records, len(records) if tail else None
 
 
 class BoardBatch:
@@ -104,7 +102,8 @@ class BoardBatch:
         seq = len(self.records)
         prev = self.records[-1].chain if self.records else _GENESIS
         body = f"{seq}|{kind}|{base64.b64encode(payload).decode('ascii')}"
-        rec = BoardRecord(seq, kind, payload, _chain_digest(prev, body))
+        chain = _chain_digest(prev, body)
+        rec = BoardRecord(seq, kind, payload, chain, f"{body}|{chain.hex()}")
         self.records.append(rec)
         self.added.append(rec)
         return rec

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import authority as authority_mod
-from . import blindsig, board as board_mod, legacy, voter
+from . import blindsig, board as board_mod, codec, legacy, voter
 from .election import ElectionConfig, VoteSelection, load_config, save_config
 from .tally import (
     AuditReport,
@@ -44,7 +44,7 @@ from .tally import (
     publish_tally,
     tally,
 )
-from .errors import ProtocolError, UnknownVoter
+from .errors import ModulusTooSmall, ProtocolError, UnknownVoter
 from .identity import (
     CredentialIssuer,
     SigningRequest,
@@ -132,7 +132,18 @@ class _Dir:
 def cmd_setup(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     rng = _rng(args.seed)
+    if (args.bits + 7) // 8 < codec.MIN_MODULUS_LEN:
+        raise ModulusTooSmall(
+            f"--bits {args.bits} cannot carry a padded ballot "
+            f"(need a modulus of >= {codec.MIN_MODULUS_LEN} bytes)"
+        )
     config = load_config(Path(args.config))
+    # Setting up over a live election would reset its request log and keys
+    # and let every voter vote again.
+    for path in (d.config, d.key, d.pub, d.registry, d.credentials,
+                 d.requests, d.ballotbox, d.board):
+        if path.exists():
+            raise FileExistsError(f"{path} exists: {d.root} already holds an election")
     d.root.mkdir(parents=True, exist_ok=True)
     d.ballots.mkdir(exist_ok=True)
     d.notes.mkdir(exist_ok=True)
@@ -278,7 +289,7 @@ def cmd_board_verify(args: argparse.Namespace) -> int:
     path = Path(args.board) if args.board else _Dir(args.dir).board
     broken = board_mod.board_verify(path)
     if broken is None:
-        count = len(board_mod.BulletinBoard(path).records()) if path.exists() else 0
+        count = len(board_mod.BulletinBoard(path).records())
         print(f"OK records={count}")
         return EXIT_OK
     print(f"ERR ChainBroken: first broken record seq={broken}", file=sys.stderr)

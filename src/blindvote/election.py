@@ -124,11 +124,15 @@ def validate_selection(config: ElectionConfig, sel: VoteSelection) -> None:
 
 def record_lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield (line number, stripped line) of a keyword-line file, skipping
-    blank lines and '#' comments; numbering counts every line."""
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    blank lines and '#' comments; numbering counts every line. A byte the
+    stream cannot decode is a ParseError."""
+    try:
+        for lineno, raw in enumerate(src, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode: {exc}") from None
 
 
 def hex_int(text: str) -> int:
@@ -161,11 +165,14 @@ def load_config(source: Union[str, os.PathLike, TextIO]) -> ElectionConfig:
     `source` may be a path or an open text stream. Raises ParseError on
     malformed input and InvariantViolation on bound breaches.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode: {exc}") from None
     return parse_config(text)
 
 

@@ -97,16 +97,17 @@ def tally(pk: PublicKey, config: ElectionConfig, box: Iterable[str]) -> TallyRes
     duplicates: list[int] = []
     seen: set[str] = set()
     for idx, payload in enumerate(box):
+        # parse_payload accepts only the canonical spelling of a signature, so
+        # two valid lines carry the same signature exactly when they are equal:
+        # a repeat of an accepted line is a duplicate without a second check.
+        line = payload.strip()
+        if line in seen:
+            duplicates.append(idx)
+            continue
         try:
             sel = voter.verify_ballot(pk, config, payload)
         except ProtocolError as exc:
             rejected.append((idx, exc.code))
-            continue
-        # parse_payload accepts only the canonical spelling of a signature, so
-        # two valid lines carry the same signature exactly when they are equal.
-        line = payload.strip()
-        if line in seen:
-            duplicates.append(idx)
             continue
         seen.add(line)
         accepted_payloads.append(payload)
@@ -129,11 +130,18 @@ def eligibility_audit(
     request_log: Iterable[SigningRequest],
     result: TallyResult,
 ) -> AuditReport:
-    """Count voter-signed requests and compare against accepted ballots."""
+    """Count voter-signed requests and compare against accepted ballots.
+
+    A request counts as valid only for the election it was signed for: a
+    credential may serve several elections, so a request from another one
+    proves nothing about this election's ballots.
+    """
     valid_voters: set[str] = set()
     total = 0
     for req in request_log:
         total += 1
+        if req.election_id != result.election_id:
+            continue
         try:
             verify_request(registry, req)
         except ProtocolError:

@@ -116,6 +116,34 @@ def test_truncation_detected(tmp_path):
     assert board_verify(path) == 2
 
 
+@pytest.mark.parametrize(
+    "rewrite, seq",
+    [
+        (lambda text: text[:-1], 2),
+        (lambda text: text.replace("\n", "\r\n"), 0),
+        (lambda text: text.replace("\n", "\r"), 0),
+    ],
+    ids=["no-final-newline", "crlf", "bare-cr"],
+)
+def test_line_terminator_is_part_of_the_board(tmp_path, capsys, rewrite, seq):
+    # Lines end in "\n" and nothing else, so a verified board is exactly its
+    # records' lines; an append onto a record that lost its "\n" would run
+    # the two records together.
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    for i in range(3):
+        board.append("META", str(i).encode())
+    path.write_bytes(rewrite(path.read_text()).encode("ascii"))
+    before = path.read_bytes()
+    assert board_verify(path) == seq
+    assert main(["board", "verify", "--board", str(path)]) == 1
+    assert capsys.readouterr().err == f"ERR ChainBroken: first broken record seq={seq}\n"
+    with pytest.raises(ChainBroken) as exc_info:
+        board.append("META", b"more")
+    assert exc_info.value.seq == seq
+    assert path.read_bytes() == before
+
+
 def test_garbled_line_detected(tmp_path):
     path = tmp_path / "board.txt"
     board = BulletinBoard(path)

@@ -84,6 +84,49 @@ class TestSetup:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+    def test_rerun_over_live_election_refused(self, election, config_file, capsys):
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "5")
+        assert rc == 0
+        before = {p: p.read_bytes() for p in election.rglob("*") if p.is_file()}
+        rc, out, err = run(
+            capsys, "setup", "--dir", str(election), "--config", str(config_file),
+            "--voters", "4", "--bits", "512", "--seed", "7",
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR IoFailure:")
+        assert {p: p.read_bytes() for p in election.rglob("*") if p.is_file()} == before
+        rc, _, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                         "--party", "0", "--seed", "6")
+        assert rc == 1
+        assert err.startswith("ERR AlreadyRequested:")
+        rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+        assert (rc, out) == (3, "BLOCK V0001 reason=AlreadyRequested\n")
+
+    @pytest.mark.parametrize("bits", [4, 300, 344])
+    def test_modulus_too_narrow_for_a_ballot_refused(self, tmp_path, config_file,
+                                                     capsys, bits):
+        d = tmp_path / "narrow"
+        rc, out, err = run(
+            capsys, "setup", "--dir", str(d), "--config", str(config_file),
+            "--voters", "2", "--bits", str(bits), "--seed", "1",
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR ModulusTooSmall:")
+        assert not d.exists()
+
+    def test_narrowest_modulus_carries_a_ballot(self, tmp_path, config_file, capsys):
+        d = tmp_path / "narrowest"
+        rc, _, _ = run(
+            capsys, "setup", "--dir", str(d), "--config", str(config_file),
+            "--voters", "2", "--bits", "345", "--seed", "1",
+        )
+        assert rc == 0
+        rc, _, _ = run(capsys, "vote", "--dir", str(d), "--voter", "V0001",
+                       "--party", "0", "--seed", "2")
+        assert rc == 0
+
+
 class TestVote:
     def test_prints_payload_and_mails_it(self, election, capsys):
         rc, out, _ = run(
@@ -313,6 +356,32 @@ class TestTallyAuditGate:
             assert err.startswith("ERR BadFraming:"), argv
         assert log.read_bytes() == before
         assert (election / "ballotbox.txt").read_bytes() == box
+
+    @pytest.mark.parametrize("name, commands", [
+        ("registry.txt", ("gate", "tally", "vote")),
+        ("credentials.txt", ("vote",)),
+        ("election.cfg", ("tally", "vote")),
+        ("authority.pub", ("tally",)),
+        ("authority.key", ("vote",)),
+    ])
+    def test_undecodable_state_file_is_parse_error(self, election, capsys, name,
+                                                   commands):
+        self.cast(capsys, election, "V0001", 0, 21)
+        with (election / name).open("ab") as f:
+            f.write(b"\xff\n")
+        state = ("requests.log", "ballotbox.txt", "board.txt")
+        before = [(election / s).read_bytes() for s in state]
+        argv = {
+            "gate": ["gate", "V0002", "--dir", str(election)],
+            "tally": ["tally", "--dir", str(election)],
+            "vote": ["vote", "--dir", str(election), "--voter", "V0002",
+                     "--party", "0", "--seed", "22"],
+        }
+        for command in commands:
+            rc, out, err = run(capsys, *argv[command])
+            assert (rc, out) == (1, ""), command
+            assert err.startswith("ERR ParseError:"), command
+        assert [(election / s).read_bytes() for s in state] == before
 
     def test_gate_decisions(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)

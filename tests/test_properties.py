@@ -227,6 +227,32 @@ class TestBoardBatch:
 
     @FAST
     @given(
+        publications=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.tuples(st.sampled_from(KINDS), st.binary(max_size=40)),
+                         min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_board_is_exactly_its_record_lines(self, publications):
+        with tempfile.TemporaryDirectory() as tmp:
+            board = BulletinBoard(Path(tmp) / "board.txt")
+            for in_batch, records in publications:
+                if in_batch:
+                    with board.batch() as batch:
+                        for kind, payload in records:
+                            batch.append(kind, payload)
+                else:
+                    for kind, payload in records:
+                        board.append(kind, payload)
+            written = "".join(rec.line + "\n" for rec in board.records())
+            assert board.path.read_bytes() == written.encode("ascii")
+
+    @FAST
+    @given(
         records=st.lists(
             st.tuples(st.sampled_from(KINDS), st.binary(max_size=40)),
             min_size=1,

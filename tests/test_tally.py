@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from blindvote.authority import SigningAuthority
 from blindvote.blindsig import blind, random_unit, unblind
-from blindvote import codec
+from blindvote import codec, voter
 from blindvote.board import BulletinBoard, board_verify
 from blindvote.election import VoteSelection
 from blindvote.errors import BoardWriteFailure
@@ -107,6 +108,24 @@ class TestTally:
         assert result.duplicates == (1,)
         assert result.party_votes == (1, 0)
 
+    def test_each_distinct_line_verified_once(self, key512, monkeypatch):
+        w = World(key512)
+        ballots = [w.cast(VoteSelection(party_index=i % 2)) for i in range(3)]
+        box = ballots * 3 + ["BPV1|garbage"]
+        calls = []
+        verify = voter.verify_ballot
+
+        def counting(pk, config, payload):
+            calls.append(payload)
+            return verify(pk, config, payload)
+
+        monkeypatch.setattr(voter, "verify_ballot", counting)
+        result = tally(key512.public, w.config, box)
+        assert sorted(calls) == sorted(ballots + ["BPV1|garbage"])
+        assert result.accepted == 3
+        assert result.duplicates == tuple(range(3, 9))
+        assert result.rejected == ((9, "BadFraming"),)
+
     def test_tampered_among_ten(self, key512):
         w = World(key512)
         box = [w.cast(VoteSelection(party_index=i % 2)) for i in range(10)]
@@ -192,6 +211,26 @@ class TestAudit:
         assert report.requests_valid == 4
         assert report.cheat_flag  # 5 ballots > 4 valid requests
         assert report.discrepancy == 1
+
+
+    def test_request_from_another_election_not_counted(self, key512):
+        # The registry stands in for a national eID reused across elections.
+        # V0000 votes in election A; election B's corrupt authority mints an
+        # extra ballot and covers it with V0000's request from A.
+        a = World(key512, n_voters=2)
+        a.cast(VoteSelection(party_index=0))
+        b = World(key512, n_voters=2)
+        assert b.registry == a.registry
+        b.config = replace(b.config, election_id=bytes.fromhex("ffeeddccbbaa9988"))
+        b.auth = SigningAuthority(b.config, key512, b.registry)
+        b.next_voter = 1
+        box = [b.cast(VoteSelection(party_index=0)), b.forge_unlogged(VoteSelection(1))]
+        result = tally(key512.public, b.config, box)
+        report = eligibility_audit(b.registry, b.requests() + a.requests(), result)
+        assert result.accepted == 2
+        assert report.requests_total == 2
+        assert report.requests_valid == 1
+        assert report.cheat_flag
 
 
 class TestPollingGate:
