@@ -23,8 +23,8 @@ with a ballot key.
 Arithmetic. Every modular exponentiation, and the one inverse on a
 secret, runs in the system libcrypto, loaded through ctypes on first use:
 
-    sign_blinded    b^d mod p, b^d mod q   constant time: d, p, q are secret
-                    (b^d mod N without p, q)
+    sign_blinded    b^d mod N, one call    constant time: d, p, q are secret
+                    on the key's RSA handle
     sign_blinded    s^e, the fault check   constant time: s is not yet released
     blind           r^e                    constant time: r is the blinding factor
     unblind         r^-1                   constant time: r is the blinding factor
@@ -32,7 +32,11 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
                     Miller-Rabin witness   secret prime
     verify_recover  s^e                    variable time (BN_mod_exp_mont)
 
-The constant-time calls are BN_mod_exp_mont_consttime and BN_mod_inverse
+Each key gets one RSA handle on first use (n, e, d and, when the key has
+them, p, q and the CRT values), freed with the key; RSA_private_decrypt
+with RSA_NO_PADDING runs the whole private operation, CRT and OpenSSL's
+own blinding included, and returns exactly b^d mod N. The other
+constant-time calls are BN_mod_exp_mont_consttime and BN_mod_inverse
 with BN_FLG_CONSTTIME set on every operand. The variable-time
 BN_mod_exp_mont only ever sees a signature raised to the public e, and a
 signature is the ballot itself, public as it is once mailed: the box and
@@ -41,12 +45,13 @@ this way, just before printing the ballot it will mail.)
 
 Where libcrypto cannot be loaded, or a modulus is even (Montgomery form
 needs an odd one), Python's pow does the same arithmetic with identical
-results; it is not constant time. backend() names the one in use. The CRT
-recombination and the int/bytes conversions around the libcrypto calls
-are plain Python arithmetic on secret values.
+results; it is not constant time. backend() names the one in use. The
+int/bytes conversions around the libcrypto calls are plain Python on
+secret values.
 
 Before a signature leaves sign_blinded it is checked with the public
-exponent, s^e == b. A faulty CRT half would give a signature from which
+exponent, s^e == b. libcrypto checks its own CRT result as well; a
+faulty half that escaped it would give a signature from which
 gcd(s^e - b, N) reveals a prime factor of N (Boneh-DeMillo-Lipton), so a
 failed check raises SigningFault and releases no value.
 """
@@ -56,6 +61,7 @@ from __future__ import annotations
 import functools
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING, Callable, TextIO
@@ -100,7 +106,8 @@ class BlindKeyPair:
 
     The public half and the CRT values d mod (p-1), d mod (q-1) and
     q^-1 mod p are derived once here; they take no part in equality, repr
-    or the key file.
+    or the key file. Signing through libcrypto keeps the key's RSA handle
+    on it as `_rsa`, freed with the key.
     """
 
     n: int
@@ -127,6 +134,11 @@ class BlindKeyPair:
     @property
     def byte_length(self) -> int:
         return self.public.byte_length
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled key builds its own RSA handle: this one is
+        # freed with self.
+        return {name: value for name, value in self.__dict__.items() if name != "_rsa"}
 
 
 # Tiny fixed keys for tests and demos. TOY_KEY has N = 11 * 23 = 253, the
@@ -229,14 +241,7 @@ def sign_blinded(b: int, key: BlindKeyPair) -> int:
     """
     if not 0 <= b < key.n:
         raise MessageOutOfRange(f"blinded message must be in [0, n), got {b}")
-    if key.p is not None and key.q is not None:
-        # CRT: two half-size exponentiations, identical result to b^d mod n.
-        p, q = key.p, key.q
-        sp = _secret_pow(b % p, key.dp, p)
-        sq = _secret_pow(b % q, key.dq, q)
-        s = (sq + q * ((sp - sq) * key.qinv % p)) % key.n
-    else:
-        s = _secret_pow(b, key.d, key.n)
+    s = _private_pow(b, key)
     if _secret_pow(s, key.e, key.n) != b:
         raise SigningFault("signature failed the s^e == b check and was withheld")
     return s
@@ -265,12 +270,14 @@ def verify_recover(s: int, pub: PublicKey) -> int:
 # --- modular arithmetic through libcrypto ---
 
 _BN_FLG_CONSTTIME = 0x04  # openssl/bn.h
+_RSA_NO_PADDING = 3  # openssl/rsa.h
 
 
 @functools.cache
 def _libcrypto() -> ctypes.CDLL | None:
-    """The system libcrypto with its BIGNUM calls declared, or None when it
-    cannot be loaded. Loaded on first use, so importing opens no file."""
+    """The system libcrypto with its BIGNUM and RSA calls declared, or None
+    when it cannot be loaded. Loaded on first use, so importing opens no
+    file."""
     import ctypes
     import ctypes.util
 
@@ -291,6 +298,12 @@ def _libcrypto() -> ctypes.CDLL | None:
             ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_inverse", ptr, [ptr, ptr, ptr, ptr]),
+            ("RSA_new", ptr, []),
+            ("RSA_free", None, [ptr]),
+            ("RSA_set0_key", c_int, [ptr, ptr, ptr, ptr]),
+            ("RSA_set0_factors", c_int, [ptr, ptr, ptr]),
+            ("RSA_set0_crt_params", c_int, [ptr, ptr, ptr, ptr]),
+            ("RSA_private_decrypt", c_int, [c_int, ctypes.c_char_p, ptr, ptr, c_int]),
         ):
             fn = getattr(lib, fname)
             fn.restype, fn.argtypes = restype, argtypes
@@ -303,6 +316,18 @@ def backend() -> str:
     """Which arithmetic runs the exponentiations and r^-1: "libcrypto"
     or "pow" (the fallback)."""
     return "pow" if _libcrypto() is None else "libcrypto"
+
+
+def _bignum(lib: ctypes.CDLL, value: int, consttime: bool) -> int:
+    """A fresh BIGNUM holding value, flagged constant-time if `consttime`.
+    The caller frees it with BN_clear_free, or hands it to an RSA handle."""
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    bn = lib.BN_bin2bn(raw, len(raw), None)
+    if not bn:
+        raise MemoryError("libcrypto BN_bin2bn failed")
+    if consttime:
+        lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
+    return bn
 
 
 def _bn_call(
@@ -320,13 +345,7 @@ def _bn_call(
         if not ctx:
             raise MemoryError("libcrypto BN_CTX_new failed")
         for value in (0, *values):
-            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            bn = lib.BN_bin2bn(raw, len(raw), None)
-            if not bn:
-                raise MemoryError("libcrypto BN_bin2bn failed")
-            nums.append(bn)
-            if consttime:
-                lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
+            nums.append(_bignum(lib, value, consttime))
         if not fn(*nums, ctx, *tail):
             raise MemoryError(f"libcrypto {fn.__name__} failed")
         width = (values[-1].bit_length() + 7) // 8
@@ -347,6 +366,55 @@ def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
         return pow(base, exp, mod)
     fn = lib.BN_mod_exp_mont_consttime if consttime else lib.BN_mod_exp_mont
     return _bn_call(lib, fn, (base, exp, mod), consttime, None)
+
+
+def _rsa_handle(lib: ctypes.CDLL, key: BlindKeyPair) -> int:
+    """The key's RSA handle in `lib`, built on first use: n, e, d and, when
+    the key has p and q, the factors and CRT values. RSA_free clears and
+    frees them with the key. A handle built in a libcrypto that
+    _libcrypto() no longer returns is replaced, not used."""
+    held = key.__dict__.get("_rsa")
+    if held is not None and held[0] is lib:
+        return held[1]
+    rsa = lib.RSA_new()
+    if not rsa:
+        raise MemoryError("libcrypto RSA_new failed")
+    weakref.finalize(key, lib.RSA_free, rsa)
+    parts = [(lib.RSA_set0_key, (key.n, key.e, key.d))]
+    if key.p is not None and key.q is not None:
+        parts.append((lib.RSA_set0_factors, (key.p, key.q)))
+        parts.append((lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)))
+    for set0, values in parts:
+        # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and the CRT
+        # values itself, and blinds each private operation.
+        nums: list[int] = []
+        try:
+            for value in values:
+                nums.append(_bignum(lib, value, consttime=False))
+            if not set0(rsa, *nums):
+                raise MemoryError(f"libcrypto {set0.__name__} failed")
+            nums = []  # the handle owns them now
+        finally:
+            for bn in nums:
+                lib.BN_clear_free(bn)
+    object.__setattr__(key, "_rsa", (lib, rsa))
+    return rsa
+
+
+def _private_pow(b: int, key: BlindKeyPair) -> int:
+    """b^d mod n for b in [0, n): one call on the key's RSA handle, or pow
+    where libcrypto cannot load or n is even."""
+    lib = _libcrypto()
+    if lib is None or not key.n & 1:
+        return pow(b, key.d, key.n)
+    import ctypes
+
+    k = key.byte_length
+    out = ctypes.create_string_buffer(k)
+    rsa = _rsa_handle(lib, key)
+    if lib.RSA_private_decrypt(k, b.to_bytes(k, "big"), out, rsa, _RSA_NO_PADDING) != k:
+        raise SigningFault("libcrypto's private-key operation failed; nothing was released")
+    return int.from_bytes(out.raw, "big")
 
 
 def _secret_pow(base: int, exp: int, mod: int) -> int:

@@ -274,7 +274,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 def cmd_legacy_sim(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config))
-    scenario = legacy.parse_scenario(Path(args.scenario).read_text())
+    scenario = legacy.parse_scenario(Path(args.scenario).read_text(errors="replace"))
     if args.seed is not None:
         scenario = legacy.LegacyScenario(
             honest=scenario.honest, compromised=scenario.compromised, seed=args.seed

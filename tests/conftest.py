@@ -39,13 +39,16 @@ def key2048() -> blindsig.BlindKeyPair:
     return blindsig.keygen(2048, random.Random(0x5EED))
 
 
-def inject_crt_fault(monkeypatch: pytest.MonkeyPatch, p: int) -> None:
-    """Make every CRT half computed modulo `p` come out one too large, the
-    fault that would leak p through gcd(s^e - b, N) if the signature left."""
-    exact = blindsig._secret_pow
+def inject_crt_fault(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make every private-key result exact modulo q and one too large modulo
+    p: s + q * (q^-1 mod p), the single-half CRT fault that would factor N
+    through gcd(s^e - b, N) = q if the signature left. The fault goes on the
+    result of the private operation, because libcrypto checks its own CRT
+    result and recomputes on a mismatch: a fault injected inside it never
+    shows."""
+    exact = blindsig._private_pow
 
-    def faulty(base: int, exp: int, mod: int) -> int:
-        s = exact(base, exp, mod)
-        return s + 1 if mod == p else s
+    def faulty(b: int, key: blindsig.BlindKeyPair) -> int:
+        return (exact(b, key) + key.q * key.qinv) % key.n
 
-    monkeypatch.setattr(blindsig, "_secret_pow", faulty)
+    monkeypatch.setattr(blindsig, "_private_pow", faulty)

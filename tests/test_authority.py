@@ -99,7 +99,7 @@ class TestHandleRequest:
 
     def test_signing_fault_logs_nothing(self, monkeypatch):
         _, auth, (cred, *_), _ = make_world()
-        inject_crt_fault(monkeypatch, CLASSIC_TOY_KEY.p)
+        inject_crt_fault(monkeypatch)
         with pytest.raises(SigningFault):
             auth.handle_request(make_request(cred, blinded=65))
         assert (auth.request_count, auth.issued_count) == (0, 0)

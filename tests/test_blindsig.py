@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import ctypes.util
 import functools
+import gc
 import io
+import pickle
 import random
 import sys
 from math import gcd
@@ -175,9 +178,102 @@ class TestSignBlinded:
 
 
     def test_fault_in_one_crt_half_is_withheld(self, key512, monkeypatch):
-        inject_crt_fault(monkeypatch, key512.p)
+        inject_crt_fault(monkeypatch)
+        b = 1234567
+        faulty = blindsig._private_pow(b, key512)
+        # Released, this value would factor N (Boneh-DeMillo-Lipton): it is
+        # right mod q only, so the gcd is q, and p = N / q.
+        factor = gcd(pow(faulty, key512.e, key512.n) - b, key512.n)
+        assert (factor, key512.n // factor) == (key512.q, key512.p)
         with pytest.raises(SigningFault):
-            sign_blinded(1234567, key512)
+            sign_blinded(b, key512)
+
+
+def fresh_classic_key() -> BlindKeyPair:
+    """CLASSIC_TOY_KEY as a new object, so its RSA handle is its own."""
+    return BlindKeyPair(n=3233, e=17, d=2753, p=61, q=53)
+
+
+needs_libcrypto = pytest.mark.skipif(
+    blindsig.backend() != "libcrypto", reason="signs on the pow fallback here"
+)
+
+
+class TestRsaHandle:
+    @pytest.mark.parametrize("key", [TOY_KEY, CLASSIC_TOY_KEY], ids=["N=253", "N=3233"])
+    @pytest.mark.parametrize("crt", [True, False], ids=["p,q", "n,e,d"])
+    def test_exact_over_every_value(self, key, crt):
+        if not crt:
+            key = BlindKeyPair(n=key.n, e=key.e, d=key.d)
+        assert [sign_blinded(b, key) for b in range(key.n)] == [
+            pow(b, key.d, key.n) for b in range(key.n)
+        ]
+
+    def test_even_modulus_stays_on_pow(self):
+        key = BlindKeyPair(n=22, e=3, d=7, p=2, q=11)  # 3 * 7 = 1 mod lcm(1, 10)
+        assert [sign_blinded(b, key) for b in range(22)] == [pow(b, 7, 22) for b in range(22)]
+        assert "_rsa" not in key.__dict__
+
+    @needs_libcrypto
+    def test_libcrypto_route_has_no_python_crt(self, key512, monkeypatch):
+        secret_calls, pow_calls = [], []
+        exact = blindsig._secret_pow
+
+        def spy(base: int, exp: int, mod: int) -> int:
+            secret_calls.append((base, exp, mod))
+            return exact(base, exp, mod)
+
+        monkeypatch.setattr(blindsig, "_secret_pow", spy)
+        monkeypatch.setattr(
+            blindsig, "pow", lambda *args: pow_calls.append(args) or pow(*args), raising=False
+        )
+        s = sign_blinded(1234567, key512)
+        # The fault check is the only exponentiation outside the handle.
+        assert secret_calls == [(s, key512.e, key512.n)]
+        assert pow_calls == []
+        assert s == pow(1234567, key512.d, key512.n)
+
+    @needs_libcrypto
+    def test_handle_freed_with_key(self, monkeypatch):
+        lib = blindsig._libcrypto()
+        freed = []
+        rsa_free = lib.RSA_free
+        monkeypatch.setattr(lib, "RSA_free", lambda rsa: (freed.append(rsa), rsa_free(rsa)))
+        key = fresh_classic_key()
+        assert sign_blinded(65, key) == SIGN_65
+        assert sign_blinded(65, key) == SIGN_65  # one handle per key, not per call
+        rsa = key._rsa[1]
+        del key
+        gc.collect()
+        assert freed == [rsa]
+
+    @needs_libcrypto
+    def test_no_stale_handle_after_cache_clear(self, monkeypatch):
+        key = fresh_classic_key()
+        assert sign_blinded(65, key) == SIGN_65
+        old_lib, old_rsa = key._rsa
+        blindsig._libcrypto.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ctypes.util, "find_library", lambda name: None)
+                assert sign_blinded(65, key) == SIGN_65
+                assert key._rsa == (old_lib, old_rsa)  # pow signed; the handle sat idle
+            blindsig._libcrypto.cache_clear()
+            assert sign_blinded(65, key) == SIGN_65
+            lib, rsa = key._rsa
+            assert lib is blindsig._libcrypto() is not old_lib
+            assert rsa != old_rsa
+        finally:
+            blindsig._libcrypto.cache_clear()
+
+    def test_copies_build_their_own_handle(self):
+        key = fresh_classic_key()
+        assert sign_blinded(65, key) == SIGN_65
+        twin, clone = copy.copy(key), pickle.loads(pickle.dumps(key))
+        del key
+        gc.collect()
+        assert twin == clone == CLASSIC_TOY_KEY
+        assert sign_blinded(65, twin) == sign_blinded(65, clone) == SIGN_65
 
 
 class TestSecretArithmetic:

@@ -495,7 +495,7 @@ class TestSigningFault:
     and the request that asked for it is not logged."""
 
     def test_vote_writes_nothing(self, election, capsys, monkeypatch):
-        inject_crt_fault(monkeypatch, _load_keypair(election).p)
+        inject_crt_fault(monkeypatch)
         log = (election / "requests.log").read_bytes()
         rc, out, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
                            "--party", "0", "--seed", "11")
@@ -507,7 +507,7 @@ class TestSigningFault:
         assert (election / "requests.log").read_bytes() == log
 
     def test_authority_answers_err(self, election, capsys, tmp_path, monkeypatch):
-        inject_crt_fault(monkeypatch, _load_keypair(election).p)
+        inject_crt_fault(monkeypatch)
         log = (election / "requests.log").read_bytes()
         mailbox = tmp_path / "mail.txt"
         mailbox.write_text(_signed_request(election, "V0001") + "\n")
@@ -613,6 +613,13 @@ class TestLegacySim:
         kinds = {line.split("|")[1] for line in board.read_text().splitlines()}
         assert kinds == {"CODE_PUBLISH"}
         assert board_verify(board) is None
+
+    def test_undecodable_scenario_is_parse_error(self, tmp_path, config_file, capsys):
+        scen = tmp_path / "scen.txt"
+        scen.write_bytes(b"HONEST 2\nCOMPROMISED 0\n\xff\n")
+        rc, out, err = run(capsys, "legacy-sim", str(scen), "--config", str(config_file))
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR ParseError: line 3:")
 
 
 class TestUsageAndErrors:
