@@ -28,21 +28,39 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
     sign_blinded    s^e, the fault check   constant time: s is not yet released
     blind           r^e                    constant time: r is the blinding factor
     unblind         r^-1                   constant time: r is the blinding factor
-    keygen          a^d mod n, each        constant time: n is a candidate for a
-                    Miller-Rabin witness   secret prime
+    keygen          a^d mod n for each     constant time: n is a candidate for a
+                    Miller-Rabin witness,  secret prime
+                    two per call after
+                    round 1
     verify_recover  s^e                    variable time (BN_mod_exp_mont)
 
 Each key gets one RSA handle on first use (n, e, d and, when the key has
 them, p, q and the CRT values), freed with the key; RSA_private_decrypt
 with RSA_NO_PADDING runs the whole private operation, CRT and OpenSSL's
 own blinding included, and returns exactly b^d mod N. The other
-constant-time calls are BN_mod_exp_mont_consttime and BN_mod_inverse
-with BN_FLG_CONSTTIME set on every operand. The variable-time
+constant-time calls are BN_mod_exp_mont_consttime, its two-exponentiation
+form BN_mod_exp_mont_consttime_x2 and BN_mod_inverse, with
+BN_FLG_CONSTTIME set on every operand. The variable-time
 BN_mod_exp_mont only ever sees a signature raised to the public e, and a
 signature is the ballot itself, public as it is once mailed: the box and
 the count publish it. (The voter's device also checks its fresh ballot
 this way, just before printing the ballot it will mail.)
 
+Key search. A candidate is divided by the primes up to 37, then, above
+4999, screened by one gcd against the product of the odd primes 41..4999
+(trial division before Miller-Rabin, Handbook of Applied Cryptography,
+Note 4.45); a candidate that fails the gcd still draws the witness that
+round 1 would have drawn, so a seeded search meets the same candidates.
+The survivors get 40 Miller-Rabin rounds: round 1 alone, since most
+composites fail it, then the other 39 as 19 BN_mod_exp_mont_consttime_x2
+calls and one single, with the witnesses drawn in round order. On a CPU
+with AVX-512 IFMA, x2 runs two 1024-bit exponentiations, the width of a
+2048-bit key's primes, in about the time of one. The trial division, the
+gcd and Miller-Rabin's follow-up squarings are plain Python on the
+candidate.
+
+The libcrypto backend needs OpenSSL 3.0 or later, the first with
+BN_mod_exp_mont_consttime_x2; an older libcrypto counts as unusable.
 Where libcrypto cannot be loaded, or a modulus is even (Montgomery form
 needs an odd one), Python's pow does the same arithmetic with identical
 results; it is not constant time. backend() names the one in use. The
@@ -79,7 +97,12 @@ _MR_ROUNDS = 40
 # the tail entries only matter for toy moduli where 65537 >= phi.
 _PUBLIC_EXPONENTS = (65537, 257, 17, 5, 3)
 
-_MIN_KEY_BITS = 8
+# At 8 bits both 4-bit primes can only be 13, so p == q every time.
+_MIN_KEY_BITS = 9
+
+# Trial division by the odd primes from 41 up to this limit screens each
+# candidate with one gcd before its first exponentiation.
+_SIEVE_LIMIT = 4999
 
 
 @dataclass(frozen=True)
@@ -148,30 +171,62 @@ TOY_KEY = BlindKeyPair(n=253, e=3, d=147, p=11, q=23)
 CLASSIC_TOY_KEY = BlindKeyPair(n=3233, e=17, d=2753, p=61, q=53)
 
 
+@functools.cache
+def _sieve_product() -> int:
+    """The product of the odd primes from 41 to _SIEVE_LIMIT, the ones the
+    trial division in _is_probable_prime does not try. Built on first use,
+    so importing the module costs nothing."""
+    composite = bytearray(_SIEVE_LIMIT + 1)
+    product = 1
+    for k in range(2, _SIEVE_LIMIT + 1):
+        if not composite[k]:
+            multiples = range(k * k, _SIEVE_LIMIT + 1, k)
+            composite[multiples.start :: k] = b"\x01" * len(multiples)
+            if k > 37:
+                product *= k
+    return product
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % small == 0:
             return n == small
+    if n > _SIEVE_LIMIT and gcd(n, _sieve_product()) != 1:
+        # Draw the witness that round 1 would have drawn, so the rng stream,
+        # and every seeded key, is the one a plain Miller-Rabin search gives.
+        rng.randrange(2, n - 1)
+        return False
     # Miller-Rabin: write n-1 = 2^r * d with d odd.
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(_MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = _secret_pow(a, d, n)
+
+    def passes(x: int) -> bool:
+        """Whether the witness with a^d = x fails to prove n composite."""
         if x == 1 or x == n - 1:
-            continue
+            return True
         for _ in range(r - 1):
             x = x * x % n
             if x == n - 1:
-                break
-        else:
+                return True
+        return False
+
+    # Round 1 runs alone, since most composites fail it; the other rounds
+    # run two witnesses per exponentiation call, drawn in the same order.
+    if not passes(_secret_pow(rng.randrange(2, n - 1), d, n)):
+        return False
+    pairs, single = divmod(_MR_ROUNDS - 1, 2)
+    for _ in range(pairs):
+        a1 = rng.randrange(2, n - 1)
+        a2 = rng.randrange(2, n - 1)
+        x1, x2 = _secret_pow_pair(a1, a2, d, n)
+        if not (passes(x1) and passes(x2)):
             return False
-    return True
+    return not single or passes(_secret_pow(rng.randrange(2, n - 1), d, n))
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
@@ -297,6 +352,7 @@ def _libcrypto() -> ctypes.CDLL | None:
             ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
             ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
+            ("BN_mod_exp_mont_consttime_x2", c_int, [ptr] * 11),
             ("BN_mod_inverse", ptr, [ptr, ptr, ptr, ptr]),
             ("RSA_new", ptr, []),
             ("RSA_free", None, [ptr]),
@@ -331,12 +387,19 @@ def _bignum(lib: ctypes.CDLL, value: int, consttime: bool) -> int:
 
 
 def _bn_call(
-    lib: ctypes.CDLL, fn: Callable[..., int], values: tuple[int, ...], consttime: bool, *tail
-) -> int:
-    """Run fn(r, *values, ctx, *tail) on fresh BIGNUMs, each flagged
-    constant-time unless `consttime` is false, and return r, which fits the
-    width of the last value, the modulus. Every BIGNUM is cleared before it
-    is freed. A BN_CTX is not thread-safe, so each call gets its own."""
+    lib: ctypes.CDLL,
+    fn: Callable[..., int],
+    values: tuple[int, ...],
+    consttime: bool,
+    *tail,
+    results: int = 1,
+) -> list[int]:
+    """Run fn(*r, *values, ctx, *tail) on fresh BIGNUMs, each flagged
+    constant-time unless `consttime` is false, where r are `results`
+    BIGNUMs for the outputs, and return their values, each of which fits
+    the width of the last value, the modulus. Every BIGNUM is cleared
+    before it is freed. A BN_CTX is not thread-safe, so each call gets its
+    own."""
     import ctypes
 
     ctx = lib.BN_CTX_new()
@@ -344,15 +407,18 @@ def _bn_call(
     try:
         if not ctx:
             raise MemoryError("libcrypto BN_CTX_new failed")
-        for value in (0, *values):
+        for value in (0,) * results + values:
             nums.append(_bignum(lib, value, consttime))
         if not fn(*nums, ctx, *tail):
             raise MemoryError(f"libcrypto {fn.__name__} failed")
         width = (values[-1].bit_length() + 7) // 8
         out = ctypes.create_string_buffer(width)
-        if lib.BN_bn2binpad(nums[0], out, width) != width:
-            raise MemoryError("libcrypto BN_bn2binpad failed")
-        return int.from_bytes(out.raw, "big")
+        found = []
+        for bn in nums[:results]:
+            if lib.BN_bn2binpad(bn, out, width) != width:
+                raise MemoryError("libcrypto BN_bn2binpad failed")
+            found.append(int.from_bytes(out.raw, "big"))
+        return found
     finally:
         for bn in nums:
             lib.BN_clear_free(bn)
@@ -365,7 +431,7 @@ def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
     if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
         return pow(base, exp, mod)
     fn = lib.BN_mod_exp_mont_consttime if consttime else lib.BN_mod_exp_mont
-    return _bn_call(lib, fn, (base, exp, mod), consttime, None)
+    return _bn_call(lib, fn, (base, exp, mod), consttime, None)[0]
 
 
 def _rsa_handle(lib: ctypes.CDLL, key: BlindKeyPair) -> int:
@@ -422,6 +488,22 @@ def _secret_pow(base: int, exp: int, mod: int) -> int:
     return _mod_exp(base, exp, mod, consttime=True)
 
 
+def _secret_pow_pair(a1: int, a2: int, exp: int, mod: int) -> tuple[int, int]:
+    """(a1^exp mod mod, a2^exp mod mod) for a1, a2 in [0, mod), in constant
+    time: one BN_mod_exp_mont_consttime_x2 call, which runs both
+    exponentiations in one AVX-512 IFMA pass where the CPU has it and the
+    operands are 1024 bits wide, and one after the other otherwise."""
+    lib = _libcrypto()
+    if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
+        return pow(a1, exp, mod), pow(a2, exp, mod)
+
+    def mod_exp_x2(r1: int, r2: int, b1: int, b2: int, p: int, m: int, ctx: int) -> int:
+        return lib.BN_mod_exp_mont_consttime_x2(r1, b1, p, m, None, r2, b2, p, m, None, ctx)
+
+    x1, x2 = _bn_call(lib, mod_exp_x2, (a1, a2, exp, mod), True, results=2)
+    return x1, x2
+
+
 def _public_pow(base: int, exp: int, mod: int) -> int:
     """base^exp mod mod, in variable time, for operands that are all public."""
     return _mod_exp(base, exp, mod, consttime=False)
@@ -432,7 +514,7 @@ def _secret_inverse(a: int, mod: int) -> int:
     lib = _libcrypto()
     if lib is None:
         return pow(a, -1, mod)
-    return _bn_call(lib, lib.BN_mod_inverse, (a, mod), True)
+    return _bn_call(lib, lib.BN_mod_inverse, (a, mod), True)[0]
 
 
 def _dump_key_lines(fields: dict[str, int]) -> str:

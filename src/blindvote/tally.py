@@ -226,13 +226,17 @@ def publish_tally(
     """Publish the evidence trail in one batch: one digest record per
     accepted ballot, then the tally and audit reports. Returns the number
     of records added.
+
+    The digests go out sorted. The box holds ballots in arrival order,
+    which in this simulation is request-log order, and the board lists the
+    requesters in that order: digests in box order would pair the i-th
+    requester with the i-th ballot.
     """
+    digests = sorted(voter.payload_digest(payload) for payload in result.accepted_payloads)
     try:
         with board.batch() as batch:
-            for payload in result.accepted_payloads:
-                batch.append(
-                    "BALLOT_DIGEST", voter.payload_digest(payload).encode("ascii")
-                )
+            for digest in digests:
+                batch.append("BALLOT_DIGEST", digest.encode("ascii"))
             batch.append("TALLY", format_tally_report(config, result).encode("ascii"))
             batch.append("AUDIT", format_audit_report(audit).encode("ascii"))
     except (ChainBroken, IoFailure) as exc:

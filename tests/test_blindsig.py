@@ -4,6 +4,7 @@ import copy
 import ctypes.util
 import functools
 import gc
+import hashlib
 import io
 import pickle
 import random
@@ -32,6 +33,7 @@ from blindvote.blindsig import (
 )
 from blindvote.errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
 
+import reference_keygen
 from conftest import inject_crt_fault
 
 # Values computed once with an independent repeated-multiplication modexp:
@@ -52,6 +54,78 @@ def seeded_keygen() -> tuple[BlindKeyPair, ...]:
 @functools.cache
 def seeded_keys() -> tuple[BlindKeyPair, ...]:
     return seeded_keygen()
+
+
+# Key widths for the search-equivalence grid: every toy size the search
+# treats differently (below, at and above the sieve limit) up to 128 bits.
+KEYGEN_GRID_BITS = (9, 10, 11, 12, 13, 14, 16, 20, 24, 32, 48, 64, 96, 128)
+
+
+def modulus_digest(key: BlindKeyPair) -> str:
+    return hashlib.sha256(f"{key.n:x}".encode()).hexdigest()[:16]
+
+
+class CountingRandom(random.Random):
+    """A seeded rng that records every Miller-Rabin witness drawn."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.witnesses: list[int] = []
+
+    def randrange(self, *args: int) -> int:
+        value = super().randrange(*args)
+        self.witnesses.append(value)
+        return value
+
+
+class ScriptedRandom:
+    """Hands out the given witnesses in order, counting them."""
+
+    def __init__(self, witnesses: list[int]) -> None:
+        self.witnesses = iter(witnesses)
+        self.drawn = 0
+
+    def randrange(self, start: int, stop: int) -> int:
+        self.drawn += 1
+        return next(self.witnesses)
+
+
+class BoundedRandom(random.Random):
+    """A seeded rng that raises once it has been asked for `draws` values."""
+
+    def __init__(self, seed: int, draws: int) -> None:
+        super().__init__(seed)
+        self.left = draws
+
+    def getrandbits(self, k: int) -> int:
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("the key search did not end")
+        return super().getrandbits(k)
+
+
+def reference_witnesses(n: int, seed: int) -> list[int]:
+    rng = CountingRandom(seed)
+    reference_keygen.is_probable_prime(n, rng)
+    return rng.witnesses
+
+
+def count_exponentiations(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Count the prime search's single and paired exponentiation calls."""
+    calls = {"single": 0, "pair": 0}
+    single, pair = blindsig._secret_pow, blindsig._secret_pow_pair
+
+    def spy_single(*args: int) -> int:
+        calls["single"] += 1
+        return single(*args)
+
+    def spy_pair(*args: int) -> tuple[int, int]:
+        calls["pair"] += 1
+        return pair(*args)
+
+    monkeypatch.setattr(blindsig, "_secret_pow", spy_single)
+    monkeypatch.setattr(blindsig, "_secret_pow_pair", spy_pair)
+    return calls
 
 
 def assert_agrees_with_pow(key: BlindKeyPair, b: int, r: int) -> None:
@@ -116,6 +190,13 @@ class TestKeygen:
         with pytest.raises(ValueError):
             keygen(7)
 
+    def test_eight_bits_refused_rather_than_searched_forever(self):
+        # At 8 bits both 4-bit primes can only be 13, so a search for p != q
+        # never ends; the bounded rng turns that hang into a failure.
+        with pytest.raises(ValueError, match="at least 9 bits"):
+            keygen(8, BoundedRandom(0, draws=10_000))
+        assert keygen(9, BoundedRandom(0, draws=10_000)).n.bit_length() == 9
+
     def test_seeded_determinism(self):
         a = keygen(64, random.Random(99))
         b = keygen(64, random.Random(99))
@@ -125,6 +206,82 @@ class TestKeygen:
         assert key2048.n.bit_length() == 2048
         m = 0x1234567890ABCDEF
         assert verify_recover(sign_blinded(m, key2048), key2048.public) == m
+
+    def test_same_keys_as_the_reference_search(self, monkeypatch):
+        grid = [(bits, seed) for bits in KEYGEN_GRID_BITS for seed in range(20)]
+        with monkeypatch.context() as m:
+            m.setattr(blindsig, "_is_probable_prime", reference_keygen.is_probable_prime)
+            expected = [keygen(bits, random.Random(seed)) for bits, seed in grid]
+        assert [keygen(bits, random.Random(seed)) for bits, seed in grid] == expected
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0x5E7A_0001, "a649598c99d3478e"),
+        (0x5E7A_0002, "8c4f68c7e25b7fc9"),
+        (0x5E7A_0003, "ac18c67935d8ce54"),
+    ])
+    def test_bench_keys_pinned(self, seed, digest):
+        assert modulus_digest(keygen(2048, random.Random(seed))) == digest
+
+    def test_session_keys_pinned(self, key512, key2048):
+        assert modulus_digest(key2048) == "1f0accccfd26cccd"
+        assert modulus_digest(key512) == "4ee7de61d20b4bcf"
+
+
+class TestPrimeSearch:
+    """_is_probable_prime: trial division, the sieve's one gcd, round 1
+    alone, then rounds 2-40 in 19 pairs and one single."""
+
+    @pytest.mark.parametrize("which", ["p", "q"])
+    def test_prime_above_the_sieve_gets_40_witnesses(self, key2048, monkeypatch, which):
+        prime = getattr(key2048, which)
+        calls = count_exponentiations(monkeypatch)
+        rng = CountingRandom(11)
+        assert blindsig._is_probable_prime(prime, rng)
+        assert rng.witnesses == reference_witnesses(prime, 11)
+        assert len(rng.witnesses) == 40
+        assert calls == {"single": 2, "pair": 19}
+
+    @pytest.mark.parametrize("factor", [41, 4999])
+    def test_sieve_rejected_composite_draws_one_witness(self, key512, monkeypatch, factor):
+        n = factor * key512.p
+        calls = count_exponentiations(monkeypatch)
+        rng = CountingRandom(12)
+        assert not blindsig._is_probable_prime(n, rng)
+        assert rng.witnesses == reference_witnesses(n, 12)
+        assert len(rng.witnesses) == 1
+        assert calls == {"single": 0, "pair": 0}
+
+    @pytest.mark.parametrize("prime", [41, 1009, 4999])
+    def test_toy_prime_below_the_limit_runs_40_rounds(self, monkeypatch, prime):
+        calls = count_exponentiations(monkeypatch)
+        rng = CountingRandom(13)
+        assert blindsig._is_probable_prime(prime, rng)
+        assert rng.witnesses == reference_witnesses(prime, 13)
+        assert len(rng.witnesses) == 40
+        assert calls == {"single": 2, "pair": 19}
+
+    def test_composite_caught_in_any_round(self, key512):
+        # Witness 1 passes on any n (1^d = 1); witness 2 proves key512.n
+        # composite. Each round, paired or single, must be checked.
+        for k in range(40):
+            rng = ScriptedRandom([1] * k + [2] + [1] * 40)
+            assert not blindsig._is_probable_prime(key512.n, rng), k
+            assert rng.drawn == k + 1 + (k in range(1, 39, 2)), k  # a pair draws both
+
+    @pytest.mark.parametrize("mod", ["p2048", 253, 3233, 4999, 22])
+    def test_secret_pow_pair_equals_two_pows(self, key2048, mod):
+        mod = key2048.p if mod == "p2048" else mod
+        rng = random.Random(mod)
+        exps = [(mod - 1) >> 1, rng.randrange(mod), 0, 1]
+        for exp in exps:
+            for _ in range(4):
+                a1, a2 = rng.randrange(mod), rng.randrange(mod)
+                assert blindsig._secret_pow_pair(a1, a2, exp, mod) == (
+                    pow(a1, exp, mod), pow(a2, exp, mod)
+                )
+        assert blindsig._secret_pow_pair(0, mod - 1, exps[0], mod) == (
+            0, pow(mod - 1, exps[0], mod)
+        )
 
 
 class TestBlind:

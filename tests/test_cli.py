@@ -263,6 +263,28 @@ class TestTallyAuditGate:
                          "TALLY", "AUDIT"]
         assert board_verify(election / "board.txt") is None
 
+    def test_board_does_not_pair_requesters_with_digests(self, tmp_path, config_file,
+                                                          capsys):
+        d = tmp_path / "order"
+        rc = main(["setup", "--dir", str(d), "--config", str(config_file), "--voters", "5",
+                   "--bits", "512", "--seed", "7"])
+        assert rc == 0
+        order = ["V0003", "V0001", "V0005", "V0002"]
+        for i, voter_id in enumerate(order):
+            self.cast(capsys, d, voter_id, i % 2, 40 + i)
+        rc, _, _ = run(capsys, "tally", "--dir", str(d))
+        assert rc == 0
+        records = BulletinBoard(d / "board.txt").records()
+        requesters = [r.payload.decode().split()[1] for r in records if r.kind == "REQUEST"]
+        digests = [r.payload.decode() for r in records if r.kind == "BALLOT_DIGEST"]
+        assert requesters == order
+        lookups = [
+            (d / "notes" / f"{voter_id}.txt").read_text().split("LOOKUP: ")[1].strip()
+            for voter_id in order
+        ]
+        assert digests == sorted(lookups)
+        assert digests != lookups  # box order would give each requester's digest away
+
     def test_second_tally_adds_no_request_record(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         for _ in range(2):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blindvote.authority import SigningAuthority
+from blindvote.authority import SigningAuthority, publish_requests
 from blindvote.blindsig import blind, random_unit, unblind
 from blindvote import codec, voter
 from blindvote.board import BulletinBoard, board_verify
@@ -284,6 +286,31 @@ class TestPublish:
             r.payload.decode() for r in board.records() if r.kind == "BALLOT_DIGEST"
         }
         assert note.payload_digest in published
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(order=st.permutations(range(5)))
+    def test_digest_order_independent_of_vote_order(self, key512, order):
+        def published(order: list[int]) -> list[str]:
+            w = World(key512, n_voters=5)
+            box = []
+            for i in order:  # each voter's ballot is the same whenever they vote
+                artifact, _ = prepare_and_cast(
+                    w.config, w.creds[i], VoteSelection(party_index=i % 2), key512.public,
+                    w.auth.handle_request, random.Random(100 + i),
+                )
+                box.append(artifact.payload)
+            result = tally(key512.public, w.config, box)
+            report = eligibility_audit(w.registry, w.requests(), result)
+            with tempfile.TemporaryDirectory() as tmp:
+                board = BulletinBoard(Path(tmp) / "board.txt")
+                publish_requests(board, w.requests())
+                publish_tally(board, w.config, result, report)
+                records = board.records()
+            requesters = [r.payload.decode().split()[1] for r in records if r.kind == "REQUEST"]
+            assert requesters == [f"V{i:04d}" for i in order]
+            return [r.payload.decode() for r in records if r.kind == "BALLOT_DIGEST"]
+
+        assert published(order) == published(sorted(order))
 
     def test_write_failure_wrapped(self, key512, tmp_path):
         w = World(key512, n_voters=1)
