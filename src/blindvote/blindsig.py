@@ -194,8 +194,8 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
         if n % small == 0:
             return n == small
     if n > _SIEVE_LIMIT and gcd(n, _sieve_product()) != 1:
-        # Draw the witness that round 1 would have drawn, so the rng stream,
-        # and every seeded key, is the one a plain Miller-Rabin search gives.
+        # Draw the witness that round 1, which all but always rejects such
+        # an n, would have drawn, so seeded keys match a plain search.
         rng.randrange(2, n - 1)
         return False
     # Miller-Rabin: write n-1 = 2^r * d with d odd.
