@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from blindvote import blindsig
+from blindvote import blindsig, identity
 from blindvote.election import ElectionConfig, Party
 
 FIXTURE_ELECTION_ID = bytes.fromhex("00112233445566aa")
@@ -20,6 +20,18 @@ def make_config_2x3() -> ElectionConfig:
             Party(index=1, name="Beta", candidates=("Ben", "Bea", "Bo")),
         ),
     )
+
+
+@pytest.fixture(params=("libsodium", "cryptography"))
+def ed25519_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch) -> str:
+    """Run the test once on each Ed25519 library. The libsodium run is
+    skipped where libsodium cannot be loaded."""
+    if request.param == "cryptography":
+        monkeypatch.setattr(identity, "_libsodium", lambda: None)
+    elif identity._libsodium() is None:
+        pytest.skip("libsodium cannot be loaded")
+    assert identity.backend() == request.param
+    return request.param
 
 
 @pytest.fixture

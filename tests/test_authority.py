@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 import threading
@@ -254,6 +255,20 @@ class TestFraming:
         assert responses[3] == "RSP ERR BadFraming"
         signed = parse_response(responses[1])
         assert verify_recover(signed, CLASSIC_TOY_KEY.public) == 65
+
+    @pytest.mark.parametrize("length", (0, 63, 65))
+    def test_wrong_length_signature(self, ed25519_backend, length):
+        _, auth, (cred, *_), _ = make_world()
+        req = make_request(cred, blinded=65)
+        short = dataclasses.replace(
+            req, credential_signature=(req.credential_signature * 2)[:length]
+        )
+        with pytest.raises(BadSignature):
+            auth.handle_request(short)
+        # An empty signature field leaves a REQ line one field short.
+        expected = "RSP ERR BadFraming" if length == 0 else "RSP ERR BadSignature"
+        assert process_mailbox(auth, [format_request(short)]) == [expected]
+        assert auth.export_request_log() == []
 
 
 class TestDurableState:

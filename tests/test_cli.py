@@ -17,7 +17,13 @@ from blindvote.board import BulletinBoard, board_append, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
-from blindvote.identity import load_secrets, request_message, sign_request
+from blindvote.identity import (
+    load_registry,
+    load_secrets,
+    request_message,
+    sign_request,
+    verify_request,
+)
 
 from conftest import FIXTURE_ELECTION_ID, inject_crt_fault, make_config_2x3
 
@@ -68,8 +74,11 @@ class TestSetup:
     def test_registry_and_secrets_align(self, election):
         with (election / "credentials.txt").open() as f:
             secrets = load_secrets(f)
-        assert sorted(secrets) == ["V0001", "V0002", "V0003", "V0004"]
-        assert all(cred.self_test() for cred in secrets.values())
+        with (election / "registry.txt").open() as f:
+            registry = load_registry(f)
+        assert sorted(secrets) == sorted(registry) == ["V0001", "V0002", "V0003", "V0004"]
+        for cred in secrets.values():
+            verify_request(registry, sign_request(cred, FIXTURE_ELECTION_ID, 0x5E1F))
 
     def test_board_starts_with_meta(self, election):
         line = (election / "board.txt").read_text().splitlines()[0]
