@@ -168,8 +168,8 @@ IDENTITY = ref.encode(ref.IDENTITY)
 
 
 class TestOneVerdict:
-    """Signatures that satisfy [S]B == R + [k]A but that libsodium refuses
-    must be refused on every backend."""
+    """What libsodium refuses is refused on every backend, including
+    signatures that satisfy [S]B == R + [k]A."""
 
     def test_reference_model_matches_the_libraries(self):
         _, (cred,) = issuer_with(1)
@@ -287,6 +287,22 @@ class TestBackends:
                     verify_request(issuer.registry, dataclasses.replace(req, blinded=1))
         finally:
             identity._libsodium.cache_clear()
+
+    @pytest.mark.skipif(identity._libsodium() is None, reason="libsodium cannot be loaded")
+    def test_secret_is_cleared_after_use(self, monkeypatch):
+        _, (cred,) = issuer_with(1)
+        lib = identity._libsodium()
+        cleared = []
+        memzero = lib.sodium_memzero
+
+        def spy(buf, size):
+            memzero(buf, size)
+            cleared.append((buf.raw, size))
+
+        monkeypatch.setattr(lib, "sodium_memzero", spy)
+        sign_request(cred, EID, 1)
+        cred.public
+        assert cleared == [(bytes(64), 64)] * 2
 
     @pytest.mark.parametrize("length", (0, 31, 33))
     def test_wrong_length_seed(self, ed25519_backend, length):
