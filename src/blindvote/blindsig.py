@@ -25,8 +25,10 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
 
     sign_blinded    b^d mod N, one call    constant time: d, p, q are secret
                     on the key's RSA handle
-    sign_blinded    s^e, the fault check   constant time: s is not yet released
-    blind           r^e                    constant time: r is the blinding factor
+    sign_blinded    s^e, the fault check,  constant time: s is not yet released
+                    on the key's chain
+    blind           r^e, on the key's      constant time: r is the blinding factor
+                    chain
     unblind         r^-1                   constant time: r is the blinding factor
     keygen          a^d mod n for each     constant time: n is a candidate for a
                     Miller-Rabin witness,  secret prime
@@ -37,10 +39,24 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
 Each key gets one RSA handle on first use (n, e, d and, when the key has
 them, p, q and the CRT values), freed with the key; RSA_private_decrypt
 with RSA_NO_PADDING runs the whole private operation, CRT and OpenSSL's
-own blinding included, and returns exactly b^d mod N. The other
-constant-time calls are BN_mod_exp_mont_consttime, its two-exponentiation
-form BN_mod_exp_mont_consttime_x2 and BN_mod_inverse, with
-BN_FLG_CONSTTIME set on every operand. The variable-time
+own blinding included, and returns exactly b^d mod N.
+
+The chain raises a secret value to the public e: into Montgomery form,
+then one BN_mod_mul_montgomery squaring for each bit of e after the
+leading one and one multiplication for each set bit, then back; 16
+squarings and 1 multiplication for e = 65537. BN_mod_exp_mont_consttime
+would treat e as a secret exponent, pad it to a 64-bit word and take
+about 90 multiplications. The sequence of operations depends on the
+public e alone, so the chain is constant time in the base, with the one
+caveat every BIGNUM here has: a value whose top limb is zero (probability
+about 2^-63) takes OpenSSL's generic multiplication path. It runs on the
+key's Montgomery context for N, built on first use and freed with the
+PublicKey (a BlindKeyPair's public half shares it); verify_recover's
+BN_mod_exp_mont uses the same context.
+
+The other constant-time calls are BN_mod_exp_mont_consttime, its
+two-exponentiation form BN_mod_exp_mont_consttime_x2 and BN_mod_inverse,
+with BN_FLG_CONSTTIME set on every operand. The variable-time
 BN_mod_exp_mont only ever sees a signature raised to the public e, and a
 signature is the ballot itself, public as it is once mailed: the box and
 the count publish it. (The voter's device also checks its fresh ballot
@@ -60,7 +76,9 @@ gcd and Miller-Rabin's follow-up squarings are plain Python on the
 candidate.
 
 The libcrypto backend needs OpenSSL 3.0 or later, the first with
-BN_mod_exp_mont_consttime_x2; an older libcrypto counts as unusable.
+BN_mod_exp_mont_consttime_x2; an older libcrypto counts as unusable. It is
+opened as libcrypto.so.3, and only where that fails through
+ctypes.util.find_library, which runs ldconfig in a child process.
 Where libcrypto cannot be loaded, or a modulus is even (Montgomery form
 needs an odd one), Python's pow does the same arithmetic with identical
 results; it is not constant time. backend() names the one in use. The
@@ -122,6 +140,11 @@ class PublicKey:
         """Width of the modulus in bytes; all wire values use this width."""
         return (self.n.bit_length() + 7) // 8
 
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled key builds its own Montgomery context: this
+        # one is freed with self.
+        return {name: value for name, value in self.__dict__.items() if name != "_mont"}
+
 
 @dataclass(frozen=True)
 class BlindKeyPair:
@@ -130,7 +153,8 @@ class BlindKeyPair:
     The public half and the CRT values d mod (p-1), d mod (q-1) and
     q^-1 mod p are derived once here; they take no part in equality, repr
     or the key file. Signing through libcrypto keeps the key's RSA handle
-    on it as `_rsa`, freed with the key.
+    on it as `_rsa`, freed with the key; the fault check uses the public
+    half's Montgomery context.
     """
 
     n: int
@@ -285,7 +309,7 @@ def blind(m: int, r: int, pub: PublicKey) -> int:
         raise MessageOutOfRange(f"message must be in [0, n), got {m}")
     if not 1 <= r < pub.n or gcd(r, pub.n) != 1:
         raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
-    return m * _secret_pow(r, pub.e, pub.n) % pub.n
+    return m * _secret_pow_e(r, pub) % pub.n
 
 
 def sign_blinded(b: int, key: BlindKeyPair) -> int:
@@ -297,7 +321,7 @@ def sign_blinded(b: int, key: BlindKeyPair) -> int:
     if not 0 <= b < key.n:
         raise MessageOutOfRange(f"blinded message must be in [0, n), got {b}")
     s = _private_pow(b, key)
-    if _secret_pow(s, key.e, key.n) != b:
+    if _secret_pow_e(s, key.public) != b:
         raise SigningFault("signature failed the s^e == b check and was withheld")
     return s
 
@@ -319,10 +343,13 @@ def verify_recover(s: int, pub: PublicKey) -> int:
     """
     if not 0 <= s < pub.n:
         raise MessageOutOfRange("signature out of range")
-    return _public_pow(s, pub.e, pub.n)
+    return _public_pow(s, pub)
 
 
 # --- modular arithmetic through libcrypto ---
+
+# OpenSSL 3's soname.
+_LIBCRYPTO_SONAME = "libcrypto.so.3"
 
 _BN_FLG_CONSTTIME = 0x04  # openssl/bn.h
 _RSA_NO_PADDING = 3  # openssl/rsa.h
@@ -337,23 +364,37 @@ def _libcrypto() -> ctypes.CDLL | None:
     import ctypes.util
 
     # macOS's /usr/lib/libcrypto aborts any process that loads it by name.
-    name = None if sys.platform == "darwin" else ctypes.util.find_library("crypto")
-    if name is None:
+    if sys.platform == "darwin":
         return None
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     try:
-        lib = ctypes.CDLL(name)
+        try:
+            lib = ctypes.CDLL(_LIBCRYPTO_SONAME)
+        except OSError:
+            # find_library runs ldconfig -p in a child process, so it only
+            # looks where the soname does not open.
+            name = ctypes.util.find_library("crypto")
+            if name is None:
+                return None
+            lib = ctypes.CDLL(name)
         for fname, restype, argtypes in (
             ("BN_CTX_new", ptr, []),
             ("BN_CTX_free", None, [ptr]),
             ("BN_clear_free", None, [ptr]),
             ("BN_set_flags", None, [ptr, c_int]),
+            ("BN_copy", ptr, [ptr, ptr]),
             ("BN_bin2bn", ptr, [ctypes.c_char_p, c_int, ptr]),
             ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
             ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
             ("BN_mod_exp_mont_consttime_x2", c_int, [ptr] * 11),
             ("BN_mod_inverse", ptr, [ptr, ptr, ptr, ptr]),
+            ("BN_MONT_CTX_new", ptr, []),
+            ("BN_MONT_CTX_free", None, [ptr]),
+            ("BN_MONT_CTX_set", c_int, [ptr, ptr, ptr]),
+            ("BN_to_montgomery", c_int, [ptr] * 4),
+            ("BN_from_montgomery", c_int, [ptr] * 4),
+            ("BN_mod_mul_montgomery", c_int, [ptr] * 5),
             ("RSA_new", ptr, []),
             ("RSA_free", None, [ptr]),
             ("RSA_set0_key", c_int, [ptr, ptr, ptr, ptr]),
@@ -425,46 +466,70 @@ def _bn_call(
         lib.BN_CTX_free(ctx)
 
 
-def _mod_exp(base: int, exp: int, mod: int, consttime: bool) -> int:
-    """base^exp mod mod for base in [0, mod) and exp >= 0."""
-    lib = _libcrypto()
-    if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
-        return pow(base, exp, mod)
-    fn = lib.BN_mod_exp_mont_consttime if consttime else lib.BN_mod_exp_mont
-    return _bn_call(lib, fn, (base, exp, mod), consttime, None)[0]
+def _held(
+    lib: ctypes.CDLL,
+    owner: object,
+    attr: str,
+    new: Callable[[], int],
+    free: Callable[[int], None],
+    fill: Callable[[int], None],
+) -> int:
+    """owner's libcrypto object `attr` in `lib`, built on first use: new()
+    makes it, fill(obj) sets it up and free(obj) runs when owner is
+    collected. One built in a libcrypto that _libcrypto() no longer returns
+    is replaced, not used."""
+    held = owner.__dict__.get(attr)
+    if held is not None and held[0] is lib:
+        return held[1]
+    obj = new()
+    if not obj:
+        raise MemoryError(f"libcrypto {new.__name__} failed")
+    weakref.finalize(owner, free, obj)
+    fill(obj)
+    object.__setattr__(owner, attr, (lib, obj))
+    return obj
 
 
 def _rsa_handle(lib: ctypes.CDLL, key: BlindKeyPair) -> int:
-    """The key's RSA handle in `lib`, built on first use: n, e, d and, when
-    the key has p and q, the factors and CRT values. RSA_free clears and
-    frees them with the key. A handle built in a libcrypto that
-    _libcrypto() no longer returns is replaced, not used."""
-    held = key.__dict__.get("_rsa")
-    if held is not None and held[0] is lib:
-        return held[1]
-    rsa = lib.RSA_new()
-    if not rsa:
-        raise MemoryError("libcrypto RSA_new failed")
-    weakref.finalize(key, lib.RSA_free, rsa)
+    """The key's RSA handle: n, e, d and, when the key has p and q, the
+    factors and CRT values. RSA_free clears and frees them with the key."""
     parts = [(lib.RSA_set0_key, (key.n, key.e, key.d))]
     if key.p is not None and key.q is not None:
         parts.append((lib.RSA_set0_factors, (key.p, key.q)))
         parts.append((lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)))
-    for set0, values in parts:
-        # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and the CRT
-        # values itself, and blinds each private operation.
-        nums: list[int] = []
+
+    def fill(rsa: int) -> None:
+        for set0, values in parts:
+            # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and the
+            # CRT values itself, and blinds each private operation.
+            nums: list[int] = []
+            try:
+                for value in values:
+                    nums.append(_bignum(lib, value, consttime=False))
+                if not set0(rsa, *nums):
+                    raise MemoryError(f"libcrypto {set0.__name__} failed")
+                nums = []  # the handle owns them now
+            finally:
+                for bn in nums:
+                    lib.BN_clear_free(bn)
+
+    return _held(lib, key, "_rsa", lib.RSA_new, lib.RSA_free, fill)
+
+
+def _mont_ctx(lib: ctypes.CDLL, pub: PublicKey) -> int:
+    """The key's Montgomery context for n, which holds its own copy of n."""
+
+    def fill(mont: int) -> None:
+        n = _bignum(lib, pub.n, consttime=False)
+        ctx = lib.BN_CTX_new()
         try:
-            for value in values:
-                nums.append(_bignum(lib, value, consttime=False))
-            if not set0(rsa, *nums):
-                raise MemoryError(f"libcrypto {set0.__name__} failed")
-            nums = []  # the handle owns them now
+            if not (ctx and lib.BN_MONT_CTX_set(mont, n, ctx)):
+                raise MemoryError("libcrypto BN_MONT_CTX_set failed")
         finally:
-            for bn in nums:
-                lib.BN_clear_free(bn)
-    object.__setattr__(key, "_rsa", (lib, rsa))
-    return rsa
+            lib.BN_CTX_free(ctx)
+            lib.BN_clear_free(n)
+
+    return _held(lib, pub, "_mont", lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_free, fill)
 
 
 def _private_pow(b: int, key: BlindKeyPair) -> int:
@@ -485,7 +550,37 @@ def _private_pow(b: int, key: BlindKeyPair) -> int:
 
 def _secret_pow(base: int, exp: int, mod: int) -> int:
     """base^exp mod mod, in constant time, when any operand is secret."""
-    return _mod_exp(base, exp, mod, consttime=True)
+    lib = _libcrypto()
+    if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
+        return pow(base, exp, mod)
+    return _bn_call(lib, lib.BN_mod_exp_mont_consttime, (base, exp, mod), True, None)[0]
+
+
+def _secret_pow_e(x: int, pub: PublicKey) -> int:
+    """x^e mod n for a secret x in [0, n): the chain described at the top of
+    this module, left to right over the bits of e after the leading one (no
+    step for e = 1), on the key's Montgomery context. Constant time in x
+    but for a value whose top limb is zero (probability about 2^-63), which
+    takes OpenSSL's generic multiplication path. pow where libcrypto
+    cannot load or n is even."""
+    lib = _libcrypto()
+    if lib is None or not pub.n & 1:
+        return pow(x, pub.e, pub.n)
+    mul = lib.BN_mod_mul_montgomery
+    bits = bin(pub.e)[3:]
+
+    def chain(acc: int, base: int, _n: int, ctx: int, mont: int) -> int:
+        # _n, the modulus, only sets the output width: mont has its own.
+        if not (lib.BN_to_montgomery(base, base, mont, ctx) and lib.BN_copy(acc, base)):
+            return 0
+        for bit in bits:
+            if not mul(acc, acc, acc, mont, ctx):
+                return 0
+            if bit == "1" and not mul(acc, acc, base, mont, ctx):
+                return 0
+        return lib.BN_from_montgomery(acc, acc, mont, ctx)
+
+    return _bn_call(lib, chain, (x, pub.n), True, _mont_ctx(lib, pub))[0]
 
 
 def _secret_pow_pair(a1: int, a2: int, exp: int, mod: int) -> tuple[int, int]:
@@ -504,9 +599,13 @@ def _secret_pow_pair(a1: int, a2: int, exp: int, mod: int) -> tuple[int, int]:
     return x1, x2
 
 
-def _public_pow(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod, in variable time, for operands that are all public."""
-    return _mod_exp(base, exp, mod, consttime=False)
+def _public_pow(s: int, pub: PublicKey) -> int:
+    """s^e mod n for s in [0, n), in variable time, for a public s: a
+    signature. BN_mod_exp_mont on the key's Montgomery context."""
+    lib = _libcrypto()
+    if lib is None or not pub.n & 1:
+        return pow(s, pub.e, pub.n)
+    return _bn_call(lib, lib.BN_mod_exp_mont, (s, pub.e, pub.n), False, _mont_ctx(lib, pub))[0]
 
 
 def _secret_inverse(a: int, mod: int) -> int:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, TextIO
 
@@ -50,6 +51,9 @@ from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
 
 if TYPE_CHECKING:
     import ctypes
+
+# libsodium's soname since 1.0.15.
+_LIBSODIUM_SONAME = "libsodium.so.23"
 
 _SEED_LEN = 32
 _PUB_LEN = 32
@@ -96,12 +100,20 @@ def _libsodium() -> ctypes.CDLL | None:
     import ctypes
     import ctypes.util
 
-    name = ctypes.util.find_library("sodium")
-    if name is None:
-        return None
     buf, c_int, ull = ctypes.c_char_p, ctypes.c_int, ctypes.c_ulonglong
     try:
-        lib = ctypes.CDLL(name)
+        try:
+            if sys.platform == "darwin":
+                # dlopen there searches the working directory for a bare name.
+                raise OSError("macOS: find_library only")
+            lib = ctypes.CDLL(_LIBSODIUM_SONAME)
+        except OSError:
+            # find_library runs ldconfig -p in a child process, so it only
+            # looks where the soname does not open.
+            name = ctypes.util.find_library("sodium")
+            if name is None:
+                return None
+            lib = ctypes.CDLL(name)
         for fname, restype, argtypes in (
             ("sodium_init", c_int, []),
             ("sodium_memzero", None, [buf, ctypes.c_size_t]),

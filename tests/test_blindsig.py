@@ -8,13 +8,14 @@ import hashlib
 import io
 import pickle
 import random
+import subprocess
 import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindvote import blindsig
+from blindvote import blindsig, identity
 from blindvote.blindsig import (
     CLASSIC_TOY_KEY,
     TOY_KEY,
@@ -374,13 +375,18 @@ class TestRsaHandle:
     @needs_libcrypto
     def test_libcrypto_route_has_no_python_crt(self, key512, monkeypatch):
         secret_calls, pow_calls = [], []
-        exact = blindsig._secret_pow
+        exact, exact_e = blindsig._secret_pow, blindsig._secret_pow_e
 
         def spy(base: int, exp: int, mod: int) -> int:
             secret_calls.append((base, exp, mod))
             return exact(base, exp, mod)
 
+        def spy_e(base: int, pub: PublicKey) -> int:
+            secret_calls.append((base, pub.e, pub.n))
+            return exact_e(base, pub)
+
         monkeypatch.setattr(blindsig, "_secret_pow", spy)
+        monkeypatch.setattr(blindsig, "_secret_pow_e", spy_e)
         monkeypatch.setattr(
             blindsig, "pow", lambda *args: pow_calls.append(args) or pow(*args), raising=False
         )
@@ -412,6 +418,7 @@ class TestRsaHandle:
         blindsig._libcrypto.cache_clear()
         try:
             with monkeypatch.context() as m:
+                m.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
                 m.setattr(ctypes.util, "find_library", lambda name: None)
                 assert sign_blinded(65, key) == SIGN_65
                 assert key._rsa == (old_lib, old_rsa)  # pow signed; the handle sat idle
@@ -433,6 +440,106 @@ class TestRsaHandle:
         assert sign_blinded(65, twin) == sign_blinded(65, clone) == SIGN_65
 
 
+class TestMontgomeryChain:
+    """x^e on a secret x: a fixed chain of Montgomery multiplications on one
+    context per key."""
+
+    @pytest.mark.parametrize("key", [TOY_KEY, CLASSIC_TOY_KEY], ids=["N=253", "N=3233"])
+    def test_exact_over_every_value(self, key):
+        assert [blindsig._secret_pow_e(x, key.public) for x in range(key.n)] == [
+            pow(x, key.e, key.n) for x in range(key.n)
+        ]
+
+    @pytest.mark.parametrize("e", [1, 3, 5, 17, 257, 65537])
+    def test_equals_pow_for_each_exponent(self, key2048, e):
+        rng = random.Random(e)
+        for key in (*seeded_keys(), key2048):
+            pub = PublicKey(n=key.n, e=e)
+            for x in (0, 1, key.n - 1, *(rng.randrange(key.n) for _ in range(8))):
+                assert blindsig._secret_pow_e(x, pub) == pow(x, e, key.n)
+
+    def test_even_modulus_builds_no_context(self):
+        pub = PublicKey(n=22, e=3)
+        assert [blindsig._secret_pow_e(x, pub) for x in range(22)] == [
+            pow(x, 3, 22) for x in range(22)
+        ]
+        assert verify_recover(5, pub) == pow(5, 3, 22)
+        assert blind(5, 3, pub) == 5 * 27 % 22
+        assert "_mont" not in pub.__dict__
+
+    @needs_libcrypto
+    def test_blind_and_sign_run_the_chain_not_the_secret_exponent_path(
+        self, key512, monkeypatch
+    ):
+        lib = blindsig._libcrypto()
+        calls = {"BN_mod_exp_mont_consttime": 0, "BN_mod_mul_montgomery": 0}
+        for name in calls:
+            exact = getattr(lib, name)
+
+            def spy(*args, name=name, exact=exact):
+                calls[name] += 1
+                return exact(*args)
+
+            monkeypatch.setattr(lib, name, spy)
+        pub = key512.public
+        r = random_unit(key512.n, random.Random(6))
+        b = blind(1234567, r, pub)
+        # 65537 = 2^16 + 1: 16 squarings and 1 multiplication.
+        assert calls == {"BN_mod_exp_mont_consttime": 0, "BN_mod_mul_montgomery": 17}
+        sign_blinded(b, key512)
+        assert calls == {"BN_mod_exp_mont_consttime": 0, "BN_mod_mul_montgomery": 34}
+        assert b == 1234567 * pow(r, key512.e, key512.n) % key512.n
+
+    @needs_libcrypto
+    def test_context_shared_by_the_key_and_freed_once_with_it(self, monkeypatch):
+        lib = blindsig._libcrypto()
+        freed = []
+        mont_free = lib.BN_MONT_CTX_free
+        monkeypatch.setattr(
+            lib, "BN_MONT_CTX_free", lambda mont: (freed.append(mont), mont_free(mont))
+        )
+        key = fresh_classic_key()
+        assert sign_blinded(65, key) == SIGN_65
+        mont = key.public._mont[1]
+        assert blind(65, 7, key.public) == BLIND_65_R7
+        assert verify_recover(SIGN_65, key.public) == 65
+        assert key.public._mont == (lib, mont)  # one context per key, not per call
+        del key
+        gc.collect()
+        assert freed == [mont]
+
+    @needs_libcrypto
+    def test_no_stale_context_after_cache_clear(self, monkeypatch):
+        pub = fresh_classic_key().public
+        assert blind(65, 7, pub) == BLIND_65_R7
+        old_lib, old_mont = pub._mont
+        blindsig._libcrypto.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
+                m.setattr(ctypes.util, "find_library", lambda name: None)
+                assert blind(65, 7, pub) == BLIND_65_R7
+                assert pub._mont == (old_lib, old_mont)  # pow ran; the context sat idle
+            blindsig._libcrypto.cache_clear()
+            assert blind(65, 7, pub) == BLIND_65_R7
+            lib, mont = pub._mont
+            assert lib is blindsig._libcrypto() is not old_lib
+            assert mont != old_mont
+        finally:
+            blindsig._libcrypto.cache_clear()
+
+    def test_context_stays_out_of_equality_repr_and_pickles(self):
+        pub = fresh_classic_key().public
+        assert blind(65, 7, pub) == BLIND_65_R7
+        twin, clone = copy.copy(pub), pickle.loads(pickle.dumps(pub))
+        assert "_mont" not in twin.__dict__ and "_mont" not in clone.__dict__
+        assert twin == clone == pub == PublicKey(n=3233, e=17)
+        assert repr(pub) == "PublicKey(n=3233, e=17)"
+        del pub
+        gc.collect()
+        assert blind(65, 7, twin) == blind(65, 7, clone) == BLIND_65_R7
+
+
 class TestSecretArithmetic:
     @settings(max_examples=60, deadline=None, database=None)
     @given(data=st.data())
@@ -444,6 +551,7 @@ class TestSecretArithmetic:
 
     def test_fallback_when_libcrypto_cannot_load(self, monkeypatch):
         keys = seeded_keys()  # on whichever backend is installed
+        monkeypatch.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         blindsig._libcrypto.cache_clear()
         try:
@@ -461,9 +569,9 @@ class TestSecretArithmetic:
         public_calls = []
         exact = blindsig._public_pow
 
-        def spy(base: int, exp: int, mod: int) -> int:
-            public_calls.append((base, exp, mod))
-            return exact(base, exp, mod)
+        def spy(base: int, pub: PublicKey) -> int:
+            public_calls.append((base, pub.e, pub.n))
+            return exact(base, pub)
 
         monkeypatch.setattr(blindsig, "_public_pow", spy)
         pub = key512.public
@@ -484,6 +592,35 @@ class TestSecretArithmetic:
         assert crt == (d % (p - 1), d % (q - 1), pow(q, -1, p))
         assert "dp=" not in repr(key512)
         assert BlindKeyPair(n=key512.n, e=key512.e, d=d).dp is None
+
+
+def opens(soname: str) -> bool:
+    try:
+        ctypes.CDLL(soname)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("module, loader, soname, name", [
+    pytest.param(blindsig, "_libcrypto", "libcrypto.so.3", "libcrypto", id="libcrypto"),
+    pytest.param(identity, "_libsodium", "libsodium.so.23", "libsodium", id="libsodium"),
+])
+def test_loaded_by_soname_without_a_child_process(monkeypatch, module, loader, soname, name):
+    # find_library runs ldconfig -p (then gcc or ld) in a child process.
+    if not opens(soname):
+        pytest.skip(f"no {soname}")
+
+    def no_child(*args, **kwargs):
+        raise OSError("no child process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    getattr(module, loader).cache_clear()
+    try:
+        assert module.backend() == name
+        assert getattr(module, loader)()._name == soname
+    finally:
+        getattr(module, loader).cache_clear()
 
 
 class TestUnblindAndVerify:

@@ -273,6 +273,7 @@ class TestBackends:
         requests = [sign_request(c, EID, 1000 + i) for i, c in enumerate(creds)]
         buf = io.StringIO()
         save_secrets(creds, buf)
+        monkeypatch.setattr(identity, "_LIBSODIUM_SONAME", "libsodium.so.absent")
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         identity._libsodium.cache_clear()
         try:
