@@ -29,7 +29,10 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
                     on the key's chain
     blind           r^e, on the key's      constant time: r is the blinding factor
                     chain
-    unblind         r^-1                   constant time: r is the blinding factor
+    unblind         s_b * r^-1, one pass:  blinded: r is the blinding factor;
+                    t = r*u for a fresh    BN_mod_inverse sees only t, whose
+                    unit u, t^-1, then     step count follows Euclid on t, a
+                    t^-1 * u * s_b         uniform unit independent of r
     keygen          a^d mod n for each     constant time: n is a candidate for a
                     Miller-Rabin witness,  secret prime
                     two per call after
@@ -54,9 +57,14 @@ key's Montgomery context for N, built on first use and freed with the
 PublicKey (a BlindKeyPair's public half shares it); verify_recover's
 BN_mod_exp_mont uses the same context.
 
-The other constant-time calls are BN_mod_exp_mont_consttime, its
-two-exponentiation form BN_mod_exp_mont_consttime_x2 and BN_mod_inverse,
-with BN_FLG_CONSTTIME set on every operand. The variable-time
+The other constant-time calls are BN_mod_exp_mont_consttime and its
+two-exponentiation form BN_mod_exp_mont_consttime_x2, with
+BN_FLG_CONSTTIME set on every operand. BN_mod_inverse with that flag
+avoids branches on secret bits within each step, but its number of steps
+follows Euclid's algorithm on its input: in a dudect-style test on a
+2048-bit key, inverting r = 2^1000+1 took half the time of a random r
+(Welch's t = -109). So unblind inverts only r*u for a fresh unit u, a
+uniform unit whatever r is (t = 2.1 in the same test). The variable-time
 BN_mod_exp_mont only ever sees a signature raised to the public e, and a
 signature is the ballot itself, public as it is once mailed: the box and
 the count publish it. (The voter's device also checks its fresh ballot
@@ -327,12 +335,33 @@ def sign_blinded(b: int, key: BlindKeyPair) -> int:
 
 
 def unblind(s_blinded: int, r: int, pub: PublicKey) -> int:
-    """Strip the blinding factor: s_blinded * r^-1 mod n."""
+    """Strip the blinding factor: s_blinded * r^-1 mod n.
+
+    libcrypto inverts r*u, not r, for a fresh unit u from the system's
+    random source, never from a caller's rng; the result is the unique
+    s_blinded * r^-1, so seeded runs do not change. Raises FactorNotUnit
+    when r is not a unit in [1, n).
+    """
     if not 0 <= s_blinded < pub.n:
         raise MessageOutOfRange("blinded signature out of range")
-    if gcd(r, pub.n) != 1:
-        raise FactorNotUnit("cannot unblind with a non-invertible factor")
-    return s_blinded * _secret_inverse(r, pub.n) % pub.n
+    if not 1 <= r < pub.n:
+        raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
+    lib = _libcrypto()
+    if lib is None or not pub.n & 1:
+        if gcd(r, pub.n) != 1:
+            raise FactorNotUnit("cannot unblind with a non-invertible factor")
+        return s_blinded * pow(r, -1, pub.n) % pub.n
+    draw = random.SystemRandom()
+    while True:
+        u = draw.randrange(1, pub.n)
+        s = _unblind_with(lib, s_blinded, r, u, pub)
+        if s is not None:
+            return s
+        # r*u has no inverse, or BN_mod_inverse could not allocate.
+        if gcd(r, pub.n) != 1:
+            raise FactorNotUnit("cannot unblind with a non-invertible factor")
+        if gcd(u, pub.n) == 1:
+            raise MemoryError("libcrypto BN_mod_inverse failed")
 
 
 def verify_recover(s: int, pub: PublicKey) -> int:
@@ -608,12 +637,32 @@ def _public_pow(s: int, pub: PublicKey) -> int:
     return _bn_call(lib, lib.BN_mod_exp_mont, (s, pub.e, pub.n), False, _mont_ctx(lib, pub))[0]
 
 
-def _secret_inverse(a: int, mod: int) -> int:
-    """a^-1 mod mod for a secret unit a in [1, mod)."""
-    lib = _libcrypto()
-    if lib is None:
-        return pow(a, -1, mod)
-    return _bn_call(lib, lib.BN_mod_inverse, (a, mod), True)[0]
+def _unblind_with(
+    lib: ctypes.CDLL, s_blinded: int, r: int, u: int, pub: PublicKey
+) -> int | None:
+    """s_blinded * r^-1 mod n for r, u in [1, n), in one libcrypto pass on
+    the key's Montgomery context, where MM(a, b) = a*b/R: the inverse sees
+    t = r*u/R^2, never r, and MM(MM(s_blinded, u), t^-1) = s_blinded/r.
+    None when t has no inverse."""
+    mul = lib.BN_mod_mul_montgomery
+    no_inverse = False
+
+    def step(out: int, s_b: int, r_bn: int, u_bn: int, n: int, ctx: int, mont: int) -> int:
+        nonlocal no_inverse
+        if not (mul(out, r_bn, u_bn, mont, ctx) and lib.BN_from_montgomery(out, out, mont, ctx)):
+            return 0
+        # t^-1 overwrites r, which the step no longer needs.
+        if not lib.BN_mod_inverse(r_bn, out, n, ctx):
+            no_inverse = True
+            return 0
+        return mul(out, s_b, u_bn, mont, ctx) and mul(out, out, r_bn, mont, ctx)
+
+    try:
+        return _bn_call(lib, step, (s_blinded, r, u, pub.n), True, _mont_ctx(lib, pub))[0]
+    except MemoryError:
+        if no_inverse:
+            return None
+        raise
 
 
 def _dump_key_lines(fields: dict[str, int]) -> str:

@@ -122,14 +122,21 @@ def validate_selection(config: ElectionConfig, sel: VoteSelection) -> None:
             )
 
 
+def record_line(raw: str) -> str | None:
+    """A keyword-line file's line, stripped, or None when it is blank or a
+    '#' comment."""
+    line = raw.strip()
+    return line if line and not line.startswith("#") else None
+
+
 def record_lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield (line number, stripped line) of a keyword-line file, skipping
     blank lines and '#' comments; numbering counts every line. A byte the
     stream cannot decode is a ParseError."""
     try:
         for lineno, raw in enumerate(src, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
+            line = record_line(raw)
+            if line is not None:
                 yield lineno, line
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None

@@ -44,9 +44,9 @@ import functools
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-from .election import record_lines
+from .election import record_line
 from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
 
 if TYPE_CHECKING:
@@ -266,30 +266,77 @@ def save_registry(registry: dict[str, bytes], out: TextIO) -> None:
         out.write(f"VOTER {voter_id} {public.hex()}\n")
 
 
+def _keyed_line(
+    lineno: int, raw: str, keyword: str, field: str, noun: str, length: int
+) -> tuple[str, bytes] | None:
+    """Parse one line of a `<keyword> <voter_id> <hex of length bytes>` file:
+    (voter_id, value), or None for a blank or '#' comment line."""
+    line = record_line(raw)
+    if line is None:
+        return None
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != keyword:
+        raise ParseError(f"line {lineno}: expected '{keyword} <id> <{field} hex>'")
+    try:
+        value = bytes.fromhex(parts[2])
+    except ValueError:
+        raise ParseError(f"line {lineno}: {noun} is not hex") from None
+    if len(value) != length:
+        raise ParseError(f"line {lineno}: {noun} must be {length} bytes")
+    return parts[1], value
+
+
 def _load_keyed_hex(
-    src: Iterable[str], keyword: str, field: str, noun: str, length: int
+    src: TextIO, keyword: str, field: str, noun: str, length: int, voter_id: str | None
 ) -> dict[str, bytes]:
-    """Read `<keyword> <voter_id> <hex of length bytes>` lines, ids unique."""
+    """Read `<keyword> <voter_id> <hex of length bytes>` lines, ids unique.
+
+    With a voter_id, only that voter's entry, if any: the text is decoded
+    whole, but only the lines that contain the id are parsed, so the cost
+    does not grow with other voters' lines and their faults go unseen. A
+    malformed line that contains the id, or a second line for it, is still
+    a ParseError."""
+    if voter_id is None:
+        lines: Iterator[tuple[int, str]] = enumerate(src, start=1)
+    else:
+        lines = _lines_containing(src, voter_id)
     values: dict[str, bytes] = {}
-    for lineno, line in record_lines(src):
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != keyword:
-            raise ParseError(f"line {lineno}: expected '{keyword} <id> <{field} hex>'")
-        voter_id = parts[1]
-        if voter_id in values:
-            raise ParseError(f"line {lineno}: duplicate voter {voter_id!r}")
-        try:
-            value = bytes.fromhex(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: {noun} is not hex") from None
-        if len(value) != length:
-            raise ParseError(f"line {lineno}: {noun} must be {length} bytes")
-        values[voter_id] = value
+    try:
+        for lineno, raw in lines:
+            entry = _keyed_line(lineno, raw, keyword, field, noun, length)
+            if entry is None:
+                continue
+            found, value = entry
+            if voter_id is not None and found != voter_id:
+                continue  # another voter's line that contains the id
+            if found in values:
+                raise ParseError(f"line {lineno}: duplicate voter {found!r}")
+            values[found] = value
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode: {exc}") from None
     return values
 
 
-def load_registry(src: TextIO) -> dict[str, bytes]:
-    return _load_keyed_hex(src, "VOTER", "pubkey", "public key", _PUB_LEN)
+def _lines_containing(src: TextIO, needle: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of src that contains needle, found
+    with str.find on the whole text; each line is yielded once."""
+    text = src.read()
+    lineno, counted, pos = 1, 0, text.find(needle)
+    while pos != -1:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        if end == -1:
+            end = len(text)
+        lineno += text.count("\n", counted, start)
+        counted = start
+        yield lineno, text[start:end]
+        pos = text.find(needle, end + 1)
+
+
+def load_registry(src: TextIO, voter_id: str | None = None) -> dict[str, bytes]:
+    """voter_id -> public key from `VOTER` lines; with a voter_id, that
+    voter's entry alone, or none (see _load_keyed_hex)."""
+    return _load_keyed_hex(src, "VOTER", "pubkey", "public key", _PUB_LEN, voter_id)
 
 
 def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
@@ -298,6 +345,8 @@ def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
         out.write(f"SECRET {cred.voter_id} {cred.seed.hex()}\n")
 
 
-def load_secrets(src: TextIO) -> dict[str, VoterCredential]:
-    seeds = _load_keyed_hex(src, "SECRET", "seed", "seed", _SEED_LEN)
+def load_secrets(src: TextIO, voter_id: str | None = None) -> dict[str, VoterCredential]:
+    """voter_id -> credential from `SECRET` lines; with a voter_id, that
+    voter's entry alone, or none (see _load_keyed_hex)."""
+    seeds = _load_keyed_hex(src, "SECRET", "seed", "seed", _SEED_LEN, voter_id)
     return {vid: VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()}

@@ -636,6 +636,34 @@ class TestUnblindAndVerify:
     def test_factor_not_unit(self):
         with pytest.raises(FactorNotUnit):
             unblind(10, 61, CLASSIC_TOY_KEY.public)  # 61 divides 3233
+        for r in (0, 3233, 3234, -7):  # outside [1, n), as blind refuses
+            with pytest.raises(FactorNotUnit):
+                unblind(10, r, CLASSIC_TOY_KEY.public)
+
+    def test_inverse_sees_a_fresh_blinded_value_and_no_caller_rng(self, key512,
+                                                                    monkeypatch):
+        lib = blindsig._libcrypto()
+        if lib is None:
+            pytest.skip("the pow fallback inverts r itself")
+        pub, n = key512.public, key512.n
+        rng = random.Random(9)
+        r, s_b = random_unit(n, rng), rng.randrange(n)
+        inverted = []
+        real = lib.BN_mod_inverse
+
+        def spy(ret: int, a: int, mod: int, ctx: int) -> int:
+            buf = ctypes.create_string_buffer(pub.byte_length)
+            assert lib.BN_bn2binpad(a, buf, pub.byte_length) == pub.byte_length
+            inverted.append(int.from_bytes(buf.raw, "big"))
+            return real(ret, a, mod, ctx)
+
+        monkeypatch.setattr(lib, "BN_mod_inverse", spy)
+        random.seed(10)
+        module_state, caller_state = random.getstate(), rng.getstate()
+        assert unblind(s_b, r, pub) == unblind(s_b, r, pub) == s_b * pow(r, -1, n) % n
+        assert (random.getstate(), rng.getstate()) == (module_state, caller_state)
+        assert len(inverted) == 2 and r not in inverted
+        assert inverted[0] != inverted[1]  # a fresh u on every call
 
     def test_random_round_trips_1000(self):
         pub = CLASSIC_TOY_KEY.public

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blindvote
+from blindvote import identity
 from blindvote.authority import SigningAuthority, format_request
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BulletinBoard, board_append, board_verify
@@ -414,6 +415,47 @@ class TestTallyAuditGate:
             assert err.startswith("ERR ParseError:"), command
         assert [(election / s).read_bytes() for s in state] == before
 
+    @pytest.mark.parametrize("name, keyword, tally_rc", [
+        ("registry.txt", "VOTER", 1),
+        ("credentials.txt", "SECRET", 0),  # tally does not read credentials
+    ])
+    def test_malformed_line_of_another_voter_stops_no_vote_or_gate(
+        self, election, capsys, name, keyword, tally_rc
+    ):
+        # vote and gate parse only the lines that contain their voter's id.
+        malform(election / name, keyword, "V0002")
+        rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+        assert (rc, out) == (0, "ALLOW V0001\n")
+        self.cast(capsys, election, "V0001", 0, 21)
+        rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+        assert (rc, out) == (3, "BLOCK V0001 reason=AlreadyRequested\n")
+        rc, _, err = run(capsys, "tally", "--dir", str(election))
+        assert rc == tally_rc
+        if tally_rc:
+            assert err.startswith("ERR ParseError: line 2:")
+
+    @pytest.mark.parametrize("name, keyword, commands", [
+        ("registry.txt", "VOTER", ("gate", "vote", "tally")),
+        ("credentials.txt", "SECRET", ("vote",)),
+    ])
+    def test_malformed_line_of_the_voter_is_parse_error(self, election, capsys, name,
+                                                        keyword, commands):
+        self.cast(capsys, election, "V0002", 0, 21)
+        malform(election / name, keyword, "V0001")
+        state = ("requests.log", "ballotbox.txt", "board.txt")
+        before = [(election / s).read_bytes() for s in state]
+        argv = {
+            "gate": ["gate", "V0001", "--dir", str(election)],
+            "tally": ["tally", "--dir", str(election)],
+            "vote": ["vote", "--dir", str(election), "--voter", "V0001",
+                     "--party", "0", "--seed", "22"],
+        }
+        for command in commands:
+            rc, out, err = run(capsys, *argv[command])
+            assert (rc, out) == (1, ""), command
+            assert err.startswith("ERR ParseError: line 1:"), command
+        assert [(election / s).read_bytes() for s in state] == before
+
     def test_gate_decisions(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
@@ -808,6 +850,39 @@ d, n = sys.argv[1], int(sys.argv[2])
 sys.exit(max(main(["vote", "--dir", d, "--voter", f"V{i:04d}", "--party", "0",
                    "--seed", str(i)]) for i in range(2, n + 1)))
 """
+
+
+def malform(path: Path, keyword: str, voter_id: str) -> None:
+    """Make the voter's line in a VOTER or SECRET file fail its hex check."""
+    text = path.read_text()
+    line = f"{keyword} {voter_id} "
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, line + "zz"))
+
+
+def test_vote_and_gate_parse_one_line_of_a_large_roll(tmp_path, config_file, capsys,
+                                                      monkeypatch):
+    d = tmp_path / "roll"
+    rc, _, _ = run(capsys, "setup", "--dir", str(d), "--config", str(config_file),
+                   "--voters", "3000", "--bits", "512", "--seed", "3")
+    assert rc == 0
+    parsed = []
+    real = identity._keyed_line
+
+    def counted(lineno, *rest):
+        parsed.append(lineno)
+        return real(lineno, *rest)
+
+    monkeypatch.setattr(identity, "_keyed_line", counted)
+    rc, _, _ = run(capsys, "vote", "--dir", str(d), "--voter", "V2718", "--party", "1",
+                   "--seed", "4")
+    assert (rc, parsed) == (0, [2718, 2718])  # its SECRET line, then its VOTER line
+    parsed.clear()
+    rc, out, _ = run(capsys, "gate", "V2718", "--dir", str(d))
+    assert (rc, out, parsed) == (3, "BLOCK V2718 reason=AlreadyRequested\n", [2718])
+    parsed.clear()
+    rc, _, _ = run(capsys, "audit", "--dir", str(d))
+    assert (rc, len(parsed)) == (0, 3000)  # the audit still reads the whole roll
 
 
 def _disk_full(self, out):

@@ -25,7 +25,7 @@ from blindvote.election import (
     Party,
     VoteSelection,
 )
-from blindvote.errors import BadFraming
+from blindvote.errors import BadFraming, ParseError
 from blindvote.identity import (
     SigningRequest,
     VoterCredential,
@@ -164,6 +164,46 @@ class TestDirectoryFiles:
         save_secrets(creds, out)
         loaded = load_secrets(io.StringIO(with_noise(out.getvalue(), data)))
         assert list(loaded.values()) == creds
+
+    @FAST
+    @given(
+        entries=st.dictionaries(voter_ids, st.binary(min_size=32, max_size=32),
+                                min_size=1, max_size=8),
+        absent=voter_ids,
+        data=st.data(),
+    )
+    @pytest.mark.parametrize("save, load", [
+        pytest.param(save_registry, load_registry, id="registry"),
+        pytest.param(
+            lambda seeds, out: save_secrets(
+                [VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()],
+                out,
+            ),
+            load_secrets,
+            id="secrets",
+        ),
+    ])
+    def test_lookup_is_the_full_load_restricted(self, save, load, entries, absent, data):
+        # Ids may be substrings of one another, of the keyword, of the hex
+        # or of a comment: the lookup parses every line that contains the id.
+        assume(absent not in entries)
+        out = io.StringIO()
+        save(entries, out)
+        text = with_noise(out.getvalue(), data)
+        full = load(io.StringIO(text))
+        for voter_id in [*entries, absent]:
+            expected = {vid: v for vid, v in full.items() if vid == voter_id}
+            assert load(io.StringIO(text), voter_id) == expected
+        voter_id = data.draw(st.sampled_from(list(entries)))
+        record = next(line for line in out.getvalue().splitlines(keepends=True)
+                      if line.split()[1] == voter_id)
+        lines = text.splitlines(keepends=True)
+        lines.insert(data.draw(st.integers(0, len(lines))), record)
+        doubled = "".join(lines)
+        with pytest.raises(ParseError):
+            load(io.StringIO(doubled))
+        with pytest.raises(ParseError):
+            load(io.StringIO(doubled), voter_id)
 
     @FAST
     @given(
