@@ -38,7 +38,7 @@ from .tally import (
     publish_tally,
     tally,
 )
-from .board import BulletinBoard, board_append, board_verify
+from .board import BulletinBoard, board_verify
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "VoteSelection",
     "VoterCredential",
     "blind",
-    "board_append",
     "board_verify",
     "eligibility_audit",
     "keygen",

@@ -26,7 +26,6 @@ from .errors import (
     CorruptModeDisabled,
     ProtocolError,
     WrongElection,
-    error_by_code,
 )
 from .identity import SigningRequest, verify_request
 
@@ -53,17 +52,7 @@ class SigningAuthority:
         self.registry = dict(registry)
         self.allow_corrupt = allow_corrupt
         self._log: dict[str, SigningRequest] = {}  # arrival order
-        self._issued_count = 0
         self._lock = threading.Lock()
-
-    @property
-    def issued_count(self) -> int:
-        """Signatures issued, including any corrupt ones."""
-        return self._issued_count
-
-    @property
-    def request_count(self) -> int:
-        return len(self._log)
 
     def handle_request(self, req: SigningRequest) -> int:
         """Verify eligibility and return sign_blinded(req.blinded).
@@ -82,12 +71,7 @@ class SigningAuthority:
                 raise AlreadyRequested(f"{req.voter_id!r} already holds a signature")
             signature = blindsig.sign_blinded(req.blinded, self.key)
             self._log[req.voter_id] = req
-            self._issued_count += 1
             return signature
-
-    def has_requested(self, voter_id: str) -> bool:
-        with self._lock:
-            return voter_id in self._log
 
     def export_request_log(
         self, board: BulletinBoard | None = None
@@ -108,9 +92,7 @@ class SigningAuthority:
         if not self.allow_corrupt:
             raise CorruptModeDisabled("authority is running in honest mode")
         with self._lock:
-            signature = blindsig.sign_blinded(blinded, self.key)
-            self._issued_count += 1
-            return signature
+            return blindsig.sign_blinded(blinded, self.key)
 
     def save_request_log(self, out: TextIO) -> None:
         """Persist the log as REQ lines (the authority's only durable state)."""
@@ -123,7 +105,6 @@ class SigningAuthority:
         log = {req.voter_id: req for req in read_request_log(src)}
         with self._lock:
             self._log = log
-            self._issued_count = len(log)
 
 
 # --- text framing for the file-based mailbox ---
@@ -160,7 +141,7 @@ def parse_request(line: str) -> SigningRequest:
 
 def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
     """Parse a saved request log: one REQ line per request, blank lines skipped.
-    An undecodable byte or a voter listed twice is BadFraming too."""
+    A "#" line, an undecodable byte or a voter listed twice is BadFraming too."""
     try:
         requests = [parse_request(line) for line in src if line.strip()]
     except UnicodeDecodeError as exc:
@@ -191,19 +172,6 @@ def format_response(result: int | ProtocolError) -> str:
     if isinstance(result, ProtocolError):
         return f"RSP ERR {result.code}"
     return f"RSP OK {result:x}"
-
-
-def parse_response(line: str) -> int:
-    """Decode a response line; error responses re-raise as their class."""
-    parts = line.split()
-    if len(parts) == 3 and parts[0] == "RSP" and parts[1] == "OK":
-        try:
-            return hex_int(parts[2])
-        except ValueError:
-            raise BadFraming("RSP OK value is not hex") from None
-    if len(parts) == 3 and parts[0] == "RSP" and parts[1] == "ERR":
-        raise error_by_code(parts[2])(f"authority rejected request: {parts[2]}")
-    raise BadFraming("expected 'RSP OK <hex>' or 'RSP ERR <code>'")
 
 
 def process_mailbox(authority: SigningAuthority, lines: Iterable[str]) -> list[str]:

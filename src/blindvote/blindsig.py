@@ -87,11 +87,11 @@ The libcrypto backend needs OpenSSL 3.0 or later, the first with
 BN_mod_exp_mont_consttime_x2; an older libcrypto counts as unusable. It is
 opened as libcrypto.so.3, and only where that fails through
 ctypes.util.find_library, which runs ldconfig in a child process.
-Where libcrypto cannot be loaded, or a modulus is even (Montgomery form
-needs an odd one), Python's pow does the same arithmetic with identical
-results; it is not constant time. backend() names the one in use. The
-int/bytes conversions around the libcrypto calls are plain Python on
-secret values.
+Where libcrypto cannot be loaded, Python's pow does the same arithmetic
+with identical results; it is not constant time. backend() names the one
+in use. Montgomery form needs an odd modulus, so PublicKey refuses an even
+one. The int/bytes conversions around the libcrypto calls are plain Python
+on secret values.
 
 Before a signature leaves sign_blinded it is checked with the public
 exponent, s^e == b. libcrypto checks its own CRT result as well; a
@@ -142,6 +142,9 @@ class PublicKey:
         # pow and libcrypto disagree on a negative e, and e = 0 signs nothing.
         if self.e < 1:
             raise ValueError(f"public exponent e must be at least 1, got {self.e}")
+        # Montgomery form, which every libcrypto call here uses, needs an odd n.
+        if not self.n & 1:
+            raise ValueError(f"modulus n must be odd, got {self.n}")
 
     @property
     def byte_length(self) -> int:
@@ -176,7 +179,7 @@ class BlindKeyPair:
     public: PublicKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "public", PublicKey(n=self.n, e=self.e))  # checks e
+        object.__setattr__(self, "public", PublicKey(n=self.n, e=self.e))  # checks n and e
         crt = None, None, None
         if self.p is not None and self.q is not None:
             if min(self.p, self.q) < 2:
@@ -300,22 +303,34 @@ def keygen(bits: int, rng: random.Random | None = None) -> BlindKeyPair:
 
 
 def random_unit(n: int, rng: random.Random | None = None) -> int:
-    """Uniform unit mod n in [2, n-1]; suitable as a blinding factor."""
+    """Uniform unit mod n in [2, n-1]; suitable as a blinding factor.
+
+    gcd, whose step count follows Euclid on its input, never sees r: each
+    test is gcd(r*u mod n, n) for a fresh u from the system's random source,
+    never from the caller's rng. When that fails and u is a unit, r is not,
+    so the next r is drawn; otherwise only u is. rng draws exactly the r
+    values a plain search would, so seeded runs do not change.
+    """
     if n < 4:
         raise ValueError("modulus too small to hold a blinding factor")
     if rng is None:
         rng = random.SystemRandom()
-    while True:
-        r = rng.randrange(2, n)
-        if gcd(r, n) == 1:
-            return r
+    draw = random.SystemRandom()
+    r, u = rng.randrange(2, n), draw.randrange(1, n)
+    while gcd(r * u % n, n) != 1:
+        if gcd(u, n) == 1:
+            r = rng.randrange(2, n)
+        u = draw.randrange(1, n)
+    return r
 
 
 def blind(m: int, r: int, pub: PublicKey) -> int:
-    """Compute m * r^e mod n. r must be a unit so the voter can unblind."""
+    """Compute m * r^e mod n for r in [1, n). r must be a unit, as
+    random_unit's are, so the voter can unblind; blind checks only the
+    range, and unblind refuses a non-unit r with FactorNotUnit."""
     if not 0 <= m < pub.n:
         raise MessageOutOfRange(f"message must be in [0, n), got {m}")
-    if not 1 <= r < pub.n or gcd(r, pub.n) != 1:
+    if not 1 <= r < pub.n:
         raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
     return m * _secret_pow_e(r, pub) % pub.n
 
@@ -347,7 +362,7 @@ def unblind(s_blinded: int, r: int, pub: PublicKey) -> int:
     if not 1 <= r < pub.n:
         raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
     lib = _libcrypto()
-    if lib is None or not pub.n & 1:
+    if lib is None:
         if gcd(r, pub.n) != 1:
             raise FactorNotUnit("cannot unblind with a non-invertible factor")
         return s_blinded * pow(r, -1, pub.n) % pub.n
@@ -563,9 +578,9 @@ def _mont_ctx(lib: ctypes.CDLL, pub: PublicKey) -> int:
 
 def _private_pow(b: int, key: BlindKeyPair) -> int:
     """b^d mod n for b in [0, n): one call on the key's RSA handle, or pow
-    where libcrypto cannot load or n is even."""
+    where libcrypto cannot load."""
     lib = _libcrypto()
-    if lib is None or not key.n & 1:
+    if lib is None:
         return pow(b, key.d, key.n)
     import ctypes
 
@@ -578,9 +593,10 @@ def _private_pow(b: int, key: BlindKeyPair) -> int:
 
 
 def _secret_pow(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod, in constant time, when any operand is secret."""
+    """base^exp mod mod, for an odd mod, in constant time, when any operand
+    is secret."""
     lib = _libcrypto()
-    if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
+    if lib is None:
         return pow(base, exp, mod)
     return _bn_call(lib, lib.BN_mod_exp_mont_consttime, (base, exp, mod), True, None)[0]
 
@@ -591,9 +607,9 @@ def _secret_pow_e(x: int, pub: PublicKey) -> int:
     step for e = 1), on the key's Montgomery context. Constant time in x
     but for a value whose top limb is zero (probability about 2^-63), which
     takes OpenSSL's generic multiplication path. pow where libcrypto
-    cannot load or n is even."""
+    cannot load."""
     lib = _libcrypto()
-    if lib is None or not pub.n & 1:
+    if lib is None:
         return pow(x, pub.e, pub.n)
     mul = lib.BN_mod_mul_montgomery
     bits = bin(pub.e)[3:]
@@ -613,12 +629,12 @@ def _secret_pow_e(x: int, pub: PublicKey) -> int:
 
 
 def _secret_pow_pair(a1: int, a2: int, exp: int, mod: int) -> tuple[int, int]:
-    """(a1^exp mod mod, a2^exp mod mod) for a1, a2 in [0, mod), in constant
-    time: one BN_mod_exp_mont_consttime_x2 call, which runs both
-    exponentiations in one AVX-512 IFMA pass where the CPU has it and the
-    operands are 1024 bits wide, and one after the other otherwise."""
+    """(a1^exp mod mod, a2^exp mod mod) for a1, a2 in [0, mod) and an odd
+    mod, in constant time: one BN_mod_exp_mont_consttime_x2 call, which runs
+    both exponentiations in one AVX-512 IFMA pass where the CPU has it and
+    the operands are 1024 bits wide, and one after the other otherwise."""
     lib = _libcrypto()
-    if lib is None or not mod & 1:  # Montgomery form needs an odd modulus
+    if lib is None:
         return pow(a1, exp, mod), pow(a2, exp, mod)
 
     def mod_exp_x2(r1: int, r2: int, b1: int, b2: int, p: int, m: int, ctx: int) -> int:
@@ -632,7 +648,7 @@ def _public_pow(s: int, pub: PublicKey) -> int:
     """s^e mod n for s in [0, n), in variable time, for a public s: a
     signature. BN_mod_exp_mont on the key's Montgomery context."""
     lib = _libcrypto()
-    if lib is None or not pub.n & 1:
+    if lib is None:
         return pow(s, pub.e, pub.n)
     return _bn_call(lib, lib.BN_mod_exp_mont, (s, pub.e, pub.n), False, _mont_ctx(lib, pub))[0]
 

@@ -151,10 +151,6 @@ class BulletinBoard:
         return records
 
 
-def board_append(path: str | Path, kind: str, payload: bytes) -> BoardRecord:
-    return BulletinBoard(path).append(kind, payload)
-
-
 def board_verify(path: str | Path) -> int | None:
     """Recompute the chain; None when intact, else the first broken seq."""
     _, broken = _replay(Path(path))

@@ -141,8 +141,8 @@ class NotEligible(ProtocolError):
 # --- bulletin board ---
 
 class ChainBroken(ProtocolError):
-    def __init__(self, seq: int, message: str = ""):
-        super().__init__(message or f"hash chain broken at seq {seq}")
+    def __init__(self, seq: int):
+        super().__init__(f"hash chain broken at seq {seq}")
         self.seq = seq
 
 
@@ -153,11 +153,3 @@ class IoFailure(ProtocolError):
 class BoardWriteFailure(ProtocolError):
     """Publishing tally evidence to the board failed; wraps the cause."""
 
-
-def error_by_code(code: str) -> type[ProtocolError]:
-    """Map a machine code back to its exception class (unknown codes map to
-    the base class)."""
-    cls = globals().get(code)
-    if isinstance(cls, type) and issubclass(cls, ProtocolError):
-        return cls
-    return ProtocolError

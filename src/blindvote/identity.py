@@ -55,8 +55,8 @@ if TYPE_CHECKING:
 # libsodium's soname since 1.0.15.
 _LIBSODIUM_SONAME = "libsodium.so.23"
 
-_SEED_LEN = 32
-_PUB_LEN = 32
+# An Ed25519 seed and public key alike, and so the hex of either key file.
+_KEY_LEN = 32
 _SIG_LEN = 64
 
 # Curve25519's field prime. A point is encoded as its y coordinate, below
@@ -138,10 +138,10 @@ def _sodium_keypair(lib: ctypes.CDLL, seed: bytes) -> tuple[ctypes.Array, ctypes
     """The public key and the seed||pk secret; the caller clears the secret."""
     import ctypes
 
-    if len(seed) != _SEED_LEN:
-        raise ValueError(f"an Ed25519 seed is {_SEED_LEN} bytes, not {len(seed)}")
-    public = ctypes.create_string_buffer(_PUB_LEN)
-    secret = ctypes.create_string_buffer(_SEED_LEN + _PUB_LEN)
+    if len(seed) != _KEY_LEN:
+        raise ValueError(f"an Ed25519 seed is {_KEY_LEN} bytes, not {len(seed)}")
+    public = ctypes.create_string_buffer(_KEY_LEN)
+    secret = ctypes.create_string_buffer(2 * _KEY_LEN)
     lib.crypto_sign_ed25519_seed_keypair(public, secret, seed)
     return public, secret
 
@@ -177,7 +177,7 @@ def _raw_sign(seed: bytes, message: bytes) -> bytes:
 def _refused_before_verify(public: bytes, signature: bytes) -> bool:
     """libsodium's rule, applied on every backend: wrong lengths, a key that
     is not canonically encoded or is of small order, an R of small order."""
-    if len(public) != _PUB_LEN or len(signature) != _SIG_LEN:
+    if len(public) != _KEY_LEN or len(signature) != _SIG_LEN:
         return True
     y = int.from_bytes(public, "little") & _Y_MASK
     r_y = int.from_bytes(signature[:32], "little") & _Y_MASK
@@ -221,7 +221,7 @@ class CredentialIssuer:
             raise ValueError(f"voter id must be non-empty without whitespace: {voter_id!r}")
         if voter_id in self._registry:
             raise DuplicateVoterId(f"credential already issued for {voter_id!r}")
-        cred = VoterCredential(voter_id=voter_id, seed=self._rng.randbytes(_SEED_LEN))
+        cred = VoterCredential(voter_id=voter_id, seed=self._rng.randbytes(_KEY_LEN))
         self._registry[voter_id] = cred.public
         return cred
 
@@ -266,30 +266,26 @@ def save_registry(registry: dict[str, bytes], out: TextIO) -> None:
         out.write(f"VOTER {voter_id} {public.hex()}\n")
 
 
-def _keyed_line(
-    lineno: int, raw: str, keyword: str, field: str, noun: str, length: int
-) -> tuple[str, bytes] | None:
-    """Parse one line of a `<keyword> <voter_id> <hex of length bytes>` file:
-    (voter_id, value), or None for a blank or '#' comment line."""
+def _keyed_line(lineno: int, raw: str, keyword: str) -> tuple[str, bytes] | None:
+    """Parse one line of a `<keyword> <voter_id> <hex of _KEY_LEN bytes>`
+    file: (voter_id, value), or None for a blank or '#' comment line."""
     line = record_line(raw)
     if line is None:
         return None
     parts = line.split()
     if len(parts) != 3 or parts[0] != keyword:
-        raise ParseError(f"line {lineno}: expected '{keyword} <id> <{field} hex>'")
+        raise ParseError(f"line {lineno}: expected '{keyword} <id> <hex>'")
     try:
         value = bytes.fromhex(parts[2])
     except ValueError:
-        raise ParseError(f"line {lineno}: {noun} is not hex") from None
-    if len(value) != length:
-        raise ParseError(f"line {lineno}: {noun} must be {length} bytes")
+        raise ParseError(f"line {lineno}: {keyword} value is not hex") from None
+    if len(value) != _KEY_LEN:
+        raise ParseError(f"line {lineno}: {keyword} value must be {_KEY_LEN} bytes")
     return parts[1], value
 
 
-def _load_keyed_hex(
-    src: TextIO, keyword: str, field: str, noun: str, length: int, voter_id: str | None
-) -> dict[str, bytes]:
-    """Read `<keyword> <voter_id> <hex of length bytes>` lines, ids unique.
+def _load_keyed_hex(src: TextIO, keyword: str, voter_id: str | None) -> dict[str, bytes]:
+    """Read `<keyword> <voter_id> <hex of _KEY_LEN bytes>` lines, ids unique.
 
     With a voter_id, only that voter's entry, if any: the text is decoded
     whole, but only the lines that contain the id are parsed, so the cost
@@ -303,7 +299,7 @@ def _load_keyed_hex(
     values: dict[str, bytes] = {}
     try:
         for lineno, raw in lines:
-            entry = _keyed_line(lineno, raw, keyword, field, noun, length)
+            entry = _keyed_line(lineno, raw, keyword)
             if entry is None:
                 continue
             found, value = entry
@@ -336,7 +332,7 @@ def _lines_containing(src: TextIO, needle: str) -> Iterator[tuple[int, str]]:
 def load_registry(src: TextIO, voter_id: str | None = None) -> dict[str, bytes]:
     """voter_id -> public key from `VOTER` lines; with a voter_id, that
     voter's entry alone, or none (see _load_keyed_hex)."""
-    return _load_keyed_hex(src, "VOTER", "pubkey", "public key", _PUB_LEN, voter_id)
+    return _load_keyed_hex(src, "VOTER", voter_id)
 
 
 def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
@@ -348,5 +344,5 @@ def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
 def load_secrets(src: TextIO, voter_id: str | None = None) -> dict[str, VoterCredential]:
     """voter_id -> credential from `SECRET` lines; with a voter_id, that
     voter's entry alone, or none (see _load_keyed_hex)."""
-    seeds = _load_keyed_hex(src, "SECRET", "seed", "seed", _SEED_LEN, voter_id)
+    seeds = _load_keyed_hex(src, "SECRET", voter_id)
     return {vid: VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()}

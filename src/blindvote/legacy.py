@@ -48,9 +48,6 @@ class CodeSheet:
         pair = self.codes[party_index][cand_index]
         return pair[0] if chosen else pair[1]
 
-    def all_codes(self) -> list[str]:
-        return [c for party in self.codes for pair in party for c in pair]
-
 
 @dataclass(frozen=True)
 class SheetSet:

@@ -20,7 +20,7 @@ import binascii
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable
 
 from . import blindsig, codec
 from .blindsig import PublicKey
@@ -30,12 +30,6 @@ from .identity import SigningRequest, VoterCredential, sign_request
 
 PAYLOAD_PREFIX = "BPV1"
 DIGEST_LEN = 8
-
-
-class AuthorityChannel(Protocol):
-    """Anything that takes a SigningRequest and returns the blinded signature."""
-
-    def __call__(self, req: SigningRequest) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ def prepare_and_cast(
     cred: VoterCredential,
     sel: VoteSelection,
     pk: PublicKey,
-    channel: AuthorityChannel,
+    channel: Callable[[SigningRequest], int],
     rng: random.Random | None = None,
 ) -> tuple[BallotArtifact, NoteSheet]:
     """Run the full voter pipeline; abort before rendering on any failure.

@@ -312,10 +312,7 @@ def test_08_polling_gate_exhaustive(key512, capsys):
         requesters = set(rng.sample(range(200), 117))
         for i in requesters:
             world.cast(i, world.random_selection())
-        requested = {
-            vid for vid in (c.voter_id for c in world.creds)
-            if world.auth.has_requested(vid)
-        }
+        requested = {vid for vid, _, _ in world.auth.export_request_log()}
         for i, cred in enumerate(world.creds):
             verdict = polling_gate(world.registry, requested, cred.voter_id)
             if i in requesters:

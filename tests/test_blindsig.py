@@ -162,6 +162,13 @@ class TestFixedKeys:
         with pytest.raises(ValueError, match="exponent e"):
             BlindKeyPair(n=3233, e=e, d=2753, p=61, q=53)
 
+    def test_even_modulus_refused(self):
+        # Montgomery form needs an odd modulus, and keygen makes only odd ones.
+        with pytest.raises(ValueError, match="modulus n must be odd"):
+            PublicKey(n=22, e=3)
+        with pytest.raises(ValueError, match="modulus n must be odd"):
+            BlindKeyPair(n=22, e=3, d=7, p=2, q=11)
+
     def test_byte_length(self):
         assert TOY_KEY.byte_length == 1
         assert CLASSIC_TOY_KEY.byte_length == 2
@@ -269,7 +276,7 @@ class TestPrimeSearch:
             assert not blindsig._is_probable_prime(key512.n, rng), k
             assert rng.drawn == k + 1 + (k in range(1, 39, 2)), k  # a pair draws both
 
-    @pytest.mark.parametrize("mod", ["p2048", 253, 3233, 4999, 22])
+    @pytest.mark.parametrize("mod", ["p2048", 253, 3233, 4999])
     def test_secret_pow_pair_equals_two_pows(self, key2048, mod):
         mod = key2048.p if mod == "p2048" else mod
         rng = random.Random(mod)
@@ -299,8 +306,10 @@ class TestBlind:
             blind(-1, 7, CLASSIC_TOY_KEY.public)
 
     def test_factor_not_unit(self):
+        # blind checks only the range; unblind refuses the non-unit.
+        b = blind(5, 11, TOY_KEY.public)  # gcd(11, 253) = 11
         with pytest.raises(FactorNotUnit):
-            blind(5, 11, TOY_KEY.public)  # gcd(11, 253) = 11
+            unblind(sign_blinded(b, TOY_KEY), 11, TOY_KEY.public)
         with pytest.raises(FactorNotUnit):
             blind(5, 0, TOY_KEY.public)
 
@@ -366,11 +375,6 @@ class TestRsaHandle:
         assert [sign_blinded(b, key) for b in range(key.n)] == [
             pow(b, key.d, key.n) for b in range(key.n)
         ]
-
-    def test_even_modulus_stays_on_pow(self):
-        key = BlindKeyPair(n=22, e=3, d=7, p=2, q=11)  # 3 * 7 = 1 mod lcm(1, 10)
-        assert [sign_blinded(b, key) for b in range(22)] == [pow(b, 7, 22) for b in range(22)]
-        assert "_rsa" not in key.__dict__
 
     @needs_libcrypto
     def test_libcrypto_route_has_no_python_crt(self, key512, monkeypatch):
@@ -457,15 +461,6 @@ class TestMontgomeryChain:
             pub = PublicKey(n=key.n, e=e)
             for x in (0, 1, key.n - 1, *(rng.randrange(key.n) for _ in range(8))):
                 assert blindsig._secret_pow_e(x, pub) == pow(x, e, key.n)
-
-    def test_even_modulus_builds_no_context(self):
-        pub = PublicKey(n=22, e=3)
-        assert [blindsig._secret_pow_e(x, pub) for x in range(22)] == [
-            pow(x, 3, 22) for x in range(22)
-        ]
-        assert verify_recover(5, pub) == pow(5, 3, 22)
-        assert blind(5, 3, pub) == 5 * 27 % 22
-        assert "_mont" not in pub.__dict__
 
     @needs_libcrypto
     def test_blind_and_sign_run_the_chain_not_the_secret_exponent_path(
@@ -694,6 +689,33 @@ class TestRandomUnit:
         with pytest.raises(ValueError):
             random_unit(3)
 
+    @pytest.mark.parametrize("n", [253, 3233])
+    def test_same_r_as_the_plain_search(self, n):
+        def plain(rng: random.Random) -> int:
+            while True:
+                r = rng.randrange(2, n)
+                if gcd(r, n) == 1:
+                    return r
+
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_unit(n, rng) == plain(ref), seed
+            assert rng.getstate() == ref.getstate(), seed
+
+    def test_gcd_never_sees_r(self, key512, monkeypatch):
+        seen = []
+
+        def spy(a: int, b: int) -> int:
+            seen.extend((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(blindsig, "gcd", spy)
+        rng = random.Random(11)
+        drawn = [random_unit(key512.n, rng) for _ in range(50)]
+        for r in drawn:
+            blind(1, r, key512.public)
+        assert seen and not set(drawn) & set(seen)
+
 
 class TestKeyFiles:
     def test_keypair_round_trip(self, key512):
@@ -753,6 +775,13 @@ class TestKeyFiles:
     def test_degenerate_primes(self, primes):
         with pytest.raises(ParseError):
             load_keypair(io.StringIO("N=ca1\ne=11\nd=ac1\n" + primes))
+
+    def test_even_modulus_refused(self):
+        text = "N=16\ne=3\nd=7\np=2\nq=b\n"  # N = 22
+        with pytest.raises(ParseError, match="unusable key: modulus n must be odd"):
+            load_keypair(io.StringIO(text))
+        with pytest.raises(ParseError, match="unusable public key: modulus n must be odd"):
+            load_public_key(io.StringIO(text))
 
     def test_lone_prime(self):
         with pytest.raises(ParseError):

@@ -8,7 +8,7 @@ import pytest
 
 from blindvote import board as board_mod
 from blindvote.authority import publish_requests
-from blindvote.board import KINDS, BoardRecord, BulletinBoard, board_append, board_verify
+from blindvote.board import KINDS, BoardRecord, BulletinBoard, board_verify
 from blindvote.cli import main
 from blindvote.errors import ChainBroken
 from blindvote.identity import SigningRequest
@@ -174,7 +174,7 @@ def test_bad_kind_rejected(tmp_path):
 
 def test_module_level_helpers(tmp_path):
     path = tmp_path / "board.txt"
-    rec = board_append(path, "AUDIT", b"summary")
+    rec = BulletinBoard(path).append("AUDIT", b"summary")
     assert isinstance(rec, BoardRecord)
     assert board_verify(path) is None
 

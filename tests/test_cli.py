@@ -14,7 +14,7 @@ import blindvote
 from blindvote import identity
 from blindvote.authority import SigningAuthority, format_request
 from blindvote.blindsig import blind, random_unit
-from blindvote.board import BulletinBoard, board_append, board_verify
+from blindvote.board import BulletinBoard, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
@@ -563,6 +563,54 @@ class TestAuthorityMailbox:
         assert log.read_bytes() == before
 
 
+class TestCommentLines:
+    """requests.log, a mailbox and ballotbox.txt skip blank lines only, never
+    '#' lines the way the keyword files do: a skipped log line would hide a
+    logged voter from gate, a skipped mailbox line would break the rule of
+    one RSP per non-blank line, and a skipped box line would drop a rejected
+    ballot from the total."""
+
+    def test_commented_request_log_line_is_bad_framing(self, election, capsys):
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "21")
+        assert rc == 0
+        log = election / "requests.log"
+        log.write_text("#" + log.read_text())
+        before = log.read_bytes()
+        for argv in (
+            ["gate", "V0001", "--dir", str(election)],
+            ["vote", "--dir", str(election), "--voter", "V0001", "--party", "0",
+             "--seed", "22"],
+            ["tally", "--dir", str(election)],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, ""), argv  # gate never answers ALLOW
+            assert err.startswith("ERR BadFraming:"), argv
+        assert log.read_bytes() == before
+
+    def test_commented_mailbox_line_gets_a_response(self, election, capsys, tmp_path):
+        good = _signed_request(election, "V0001")
+        mailbox = tmp_path / "mail.txt"
+        mailbox.write_text(f"# note\n#{good}\n\n{good}\n")
+        rc, _, _ = run(capsys, "authority", "--dir", str(election),
+                       "--mailbox", str(mailbox))
+        assert rc == 0
+        rsp = (tmp_path / "mail.txt.rsp").read_text().splitlines()
+        assert rsp[:2] == ["RSP ERR BadFraming"] * 2
+        assert len(rsp) == 3 and rsp[2].startswith("RSP OK ")
+
+    def test_commented_box_line_is_a_rejected_ballot(self, election, capsys):
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "21")
+        assert rc == 0
+        with (election / "ballotbox.txt").open("a") as f:
+            f.write("# note\n")
+        rc, out, _ = run(capsys, "tally", "--dir", str(election))
+        assert rc == 0
+        assert "ballots total=2 accepted=1 rejected=1 duplicates=0" in out
+        assert "rejected 1 BadFraming" in out
+
+
 class TestSigningFault:
     """A signature that fails its s^e == b check never leaves the authority,
     and the request that asked for it is not logged."""
@@ -646,7 +694,7 @@ class TestBoardCommand:
     def test_non_ascii_digit_reported_with_seq(self, election, capsys):
         # int() reads ARABIC-INDIC DIGIT ONE as 1, and the chain hashes the
         # int, so only reading the board as ASCII catches this edit.
-        board_append(election / "board.txt", "META", b"second")
+        BulletinBoard(election / "board.txt").append("META", b"second")
         path = election / "board.txt"
         first, second = path.read_bytes().splitlines(keepends=True)
         assert second.startswith(b"1|")

@@ -64,9 +64,9 @@ class TestIssueSheets:
             codes = [c for pair in rows for c in pair]
             assert len(codes) == 6
             assert len(set(codes)) == 6
-        all_codes = sheets.code_sheet.all_codes()
-        assert len(set(all_codes)) == len(all_codes)
-        assert all(len(c) == 4 and set(c) <= set(CODE_ALPHABET) for c in all_codes)
+        every_code = [c for party in per_party for pair in party for c in pair]
+        assert len(set(every_code)) == len(every_code)
+        assert all(len(c) == 4 and set(c) <= set(CODE_ALPHABET) for c in every_code)
 
 
 class TestCheckK:

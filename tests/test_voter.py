@@ -52,7 +52,7 @@ class TestPrepareAndCast:
         assert verify_ballot(key512.public, config, artifact.payload) == sel
         assert artifact.text.splitlines()[-1] == artifact.payload
         assert note.payload_digest == payload_digest(artifact.payload)
-        assert auth.has_requested(cred.voter_id)
+        assert [vid for vid, _, _ in auth.export_request_log()] == [cred.voter_id]
 
     def test_garbage_authority_aborts_before_rendering(self, key512):
         config, auth, (cred, *_), rng = make_world(key512)
