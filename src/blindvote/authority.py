@@ -159,7 +159,7 @@ def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
 def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -> None:
     """Publish each request as a REQUEST record the board does not hold yet,
     so publishing the same log twice adds nothing the second time."""
-    lines = [format_request(req).encode("ascii") for req in requests]
+    lines = [format_request(req).encode() for req in requests]
     if lines:  # an empty log reads no board, so it cannot fail here
         with board.batch() as batch:  # the check and the writes share one lock
             on_board = {rec.payload for rec in batch.records if rec.kind == "REQUEST"}

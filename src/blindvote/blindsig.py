@@ -307,7 +307,9 @@ def random_unit(n: int, rng: random.Random | None = None) -> int:
 
     gcd, whose step count follows Euclid on its input, never sees r: each
     test is gcd(r*u mod n, n) for a fresh u from the system's random source,
-    never from the caller's rng. When that fails and u is a unit, r is not,
+    never from the caller's rng. The product is formed as (r + n) * u: r + n
+    is in [n, 2n), so the multiplication's cost does not follow r's digit
+    count as r * u's does. When the test fails and u is a unit, r is not,
     so the next r is drawn; otherwise only u is. rng draws exactly the r
     values a plain search would, so seeded runs do not change.
     """
@@ -317,7 +319,7 @@ def random_unit(n: int, rng: random.Random | None = None) -> int:
         rng = random.SystemRandom()
     draw = random.SystemRandom()
     r, u = rng.randrange(2, n), draw.randrange(1, n)
-    while gcd(r * u % n, n) != 1:
+    while gcd((r + n) * u % n, n) != 1:
         if gcd(u, n) == 1:
             r = rng.randrange(2, n)
         u = draw.randrange(1, n)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fcntl
 import os
 import random
@@ -172,7 +173,7 @@ def cmd_setup(args: argparse.Namespace) -> int:
     bb = board_mod.BulletinBoard(d.board)
     bb.append(
         "META",
-        f"election {config.election_id.hex()} voters {len(creds)}".encode("ascii"),
+        f"election {config.election_id.hex()} voters {len(creds)}".encode(),
     )
     print(
         f"election {config.election_id.hex()} dir={d.root} "
@@ -284,9 +285,7 @@ def cmd_legacy_sim(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config))
     scenario = legacy.parse_scenario(Path(args.scenario).read_text(errors="replace"))
     if args.seed is not None:
-        scenario = legacy.LegacyScenario(
-            honest=scenario.honest, compromised=scenario.compromised, seed=args.seed
-        )
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     bb = board_mod.BulletinBoard(args.board) if args.board else None
     report = legacy.run_scenario(config, scenario, bb)
     sys.stdout.write(legacy.format_scenario_report(report))

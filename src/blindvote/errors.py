@@ -29,15 +29,11 @@ class InvariantViolation(ProtocolError):
 
 # --- vote selection validation ---
 
-class SelectionError(ProtocolError):
+class PartyOutOfRange(ProtocolError):
     pass
 
 
-class PartyOutOfRange(SelectionError):
-    pass
-
-
-class CandidateOutOfRange(SelectionError):
+class CandidateOutOfRange(ProtocolError):
     pass
 
 

@@ -1,11 +1,10 @@
-"""The original three-sheet postal system and the k-reuse attack on it.
+"""The original token-k postal system and the k-reuse attack on it.
 
 Each voter gets a sheet set from the preparation server: a selection sheet
-carrying a random 128-bit token k, a code sheet with a FOR and an AGAINST
-short code per candidate, and a blank note sheet. The voter mails the
-chosen party's selection sheet; the tally publishes the short codes for
-the stances it counted, and the voter compares them with the codes copied
-onto the note sheet.
+carrying a random 128-bit token k and a code sheet with a FOR and an
+AGAINST short code per candidate. The voter mails the chosen party's
+selection sheet; the tally publishes the short codes for the stances it
+counted, and the voter compares them with the code sheet.
 
 Two modeled defects, both inherent to the design:
 
@@ -56,7 +55,6 @@ class SheetSet:
     voter_id: str
     k: bytes
     code_sheet: CodeSheet
-    # The note sheet ships blank; the voter fills it by hand (fill_note_sheet).
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,6 @@ class LegacyCast:
     k: bytes
     party_index: int
     stances: tuple[bool, ...]  # one per candidate of the selected party
-
-
-@dataclass(frozen=True)
-class LegacyNoteSheet:
-    """The voter's hand-copied record: one code per candidate."""
-
-    party_index: int
-    entries: tuple[tuple[str, str], ...]  # (candidate name, copied code)
 
 
 def _fresh_code(rng: random.Random, taken: set[str]) -> str:
@@ -137,31 +127,6 @@ def make_cast(sheets: SheetSet, config: ElectionConfig, sel: VoteSelection) -> L
     return LegacyCast(k=sheets.k, party_index=sel.party_index, stances=stances)
 
 
-def fill_note_sheet(
-    sheets: SheetSet,
-    config: ElectionConfig,
-    cast: LegacyCast,
-    rng: random.Random | None = None,
-    copy_error_rate: float = 0.0,
-) -> LegacyNoteSheet:
-    """The voter hand-copies one code per candidate onto the note sheet.
-
-    With probability copy_error_rate per code the voter miscopies it
-    (a uniformly random wrong code), modeling the usability hazard of
-    manual transcription.
-    """
-    if rng is None:
-        rng = random.SystemRandom()
-    party = config.party(cast.party_index)
-    entries = []
-    for i, cand in enumerate(party.candidates):
-        code = sheets.code_sheet.stance_code(cast.party_index, i, cast.stances[i])
-        if copy_error_rate > 0 and rng.random() < copy_error_rate:
-            code = _fresh_code(rng, {code})
-        entries.append((cand, code))
-    return LegacyNoteSheet(party_index=cast.party_index, entries=tuple(entries))
-
-
 @dataclass(frozen=True)
 class LegacyTallyResult:
     party_votes: tuple[int, ...]
@@ -215,7 +180,7 @@ def legacy_tally(
         with board.batch() as batch:
             for k_hex, codes in published:
                 line = k_hex + " " + " ".join(codes)
-                batch.append("CODE_PUBLISH", line.encode("ascii"))
+                batch.append("CODE_PUBLISH", line.encode())
     return LegacyTallyResult(
         party_votes=tuple(party_votes),
         candidate_votes=tuple(tuple(row) for row in candidate_votes),
@@ -256,9 +221,17 @@ def reconstruct_vote(
 
 @dataclass(frozen=True)
 class LegacyScenario:
+    """Honest voters, then compromised devices that all stamp one shared k."""
+
     honest: int
     compromised: int
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.honest < 0 or self.compromised < 0:
+            raise ValueError("voter counts must be non-negative")
+        if self.compromised == 1:
+            raise ValueError("the reuse attack needs COMPROMISED 0 or at least 2")
 
 
 def parse_scenario(text: str) -> LegacyScenario:
@@ -285,11 +258,10 @@ def parse_scenario(text: str) -> LegacyScenario:
             raise ParseError(f"line {lineno}: unknown directive {word!r}")
     if honest is None or compromised is None:
         raise ParseError("scenario needs both HONEST and COMPROMISED")
-    if honest < 0 or compromised < 0:
-        raise ParseError("voter counts must be non-negative")
-    if compromised == 1:
-        raise ParseError("the reuse attack needs COMPROMISED 0 or at least 2")
-    return LegacyScenario(honest=honest, compromised=compromised, seed=seed)
+    try:
+        return LegacyScenario(honest=honest, compromised=compromised, seed=seed)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -298,7 +270,6 @@ class ScenarioReport:
     voter_ids: tuple[str, ...]
     selections: tuple[VoteSelection, ...]
     result: LegacyTallyResult
-    compromised_ids: tuple[str, ...]
     k_checks_passed: bool  # every compromised ballot passed check_k_valid
     receipt_voter: str
     receipt_match: bool
@@ -311,53 +282,28 @@ def random_selection(config: ElectionConfig, rng: random.Random) -> VoteSelectio
     return VoteSelection(party_index=party, approvals=approvals)
 
 
-def attack_k_reuse(
-    config: ElectionConfig,
-    honest: int,
-    compromised: int,
-    rng: random.Random | None = None,
-    board: BulletinBoard | None = None,
-) -> ScenarioReport:
-    """Drive the modeled attack: m compromised devices stamp one valid k.
-
-    The shared k is the first compromised voter's own token, so every
-    check_k_valid call succeeds, and the tally is forced to throw away all
-    m ballots. Honest voters are untouched.
-    """
-    if compromised < 2:
-        raise ValueError("the reuse attack needs at least 2 compromised devices")
-    return _run(config, honest, compromised, rng, board)
-
-
 def run_scenario(
     config: ElectionConfig,
     scenario: LegacyScenario,
     board: BulletinBoard | None = None,
 ) -> ScenarioReport:
-    rng = random.Random(scenario.seed) if scenario.seed is not None else None
-    if scenario.compromised == 0:
-        return _run(config, scenario.honest, 0, rng, board)
-    return attack_k_reuse(config, scenario.honest, scenario.compromised, rng, board)
+    """Drive the modeled attack: the compromised devices stamp one valid k.
 
-
-def _run(
-    config: ElectionConfig,
-    honest: int,
-    compromised: int,
-    rng: random.Random | None,
-    board: BulletinBoard | None,
-) -> ScenarioReport:
-    if rng is None:
-        rng = random.SystemRandom()
+    The shared k is the first compromised voter's own token, so every
+    check_k_valid call succeeds, and the tally is forced to throw away all
+    of their ballots. Honest voters are untouched. Draws come from
+    random.Random(scenario.seed), or from the system's source unseeded.
+    """
+    rng = random.SystemRandom() if scenario.seed is None else random.Random(scenario.seed)
+    honest = scenario.honest
     voter_ids = tuple(
         [f"H{i:04d}" for i in range(honest)]
-        + [f"C{i:04d}" for i in range(compromised)]
+        + [f"C{i:04d}" for i in range(scenario.compromised)]
     )
-    compromised_ids = voter_ids[honest:]
     server = LegacyServer(config, set(voter_ids), rng)
     sheet_sets = [server.issue_sheets(vid) for vid in voter_ids]
     selections = tuple(random_selection(config, rng) for _ in voter_ids)
-    shared_k = sheet_sets[honest].k if compromised else b""
+    shared_k = sheet_sets[honest].k if scenario.compromised else b""
     casts: list[LegacyCast] = []
     k_checks_passed = True
     for i, (sheets, sel) in enumerate(zip(sheet_sets, selections)):
@@ -381,11 +327,10 @@ def _run(
                 receipt_match = got == (casts[idx].party_index, casts[idx].stances)
                 break
     return ScenarioReport(
-        scenario=LegacyScenario(honest=honest, compromised=compromised),
+        scenario=scenario,
         voter_ids=voter_ids,
         selections=selections,
         result=result,
-        compromised_ids=compromised_ids,
         k_checks_passed=k_checks_passed,
         receipt_voter=receipt_voter,
         receipt_match=receipt_match,
@@ -406,7 +351,7 @@ def format_scenario_report(report: ScenarioReport) -> str:
     lines.append("INVALIDATED")
     lines.append(f"invalidated={len(r.invalidated)}")
     lines.append(f"disenfranchised={' '.join(disenfranchised) or '-'}")
-    if report.compromised_ids:
+    if report.scenario.compromised:
         passed = "true" if report.k_checks_passed else "false"
     else:
         passed = "n/a"

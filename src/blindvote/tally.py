@@ -236,9 +236,9 @@ def publish_tally(
     try:
         with board.batch() as batch:
             for digest in digests:
-                batch.append("BALLOT_DIGEST", digest.encode("ascii"))
-            batch.append("TALLY", format_tally_report(config, result).encode("ascii"))
-            batch.append("AUDIT", format_audit_report(audit).encode("ascii"))
+                batch.append("BALLOT_DIGEST", digest.encode())
+            batch.append("TALLY", format_tally_report(config, result).encode())
+            batch.append("AUDIT", format_audit_report(audit).encode())
     except (ChainBroken, IoFailure) as exc:
         raise BoardWriteFailure(f"tally publication failed: {exc}") from exc
     return len(batch.added)

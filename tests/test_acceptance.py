@@ -34,7 +34,7 @@ from blindvote.errors import (
     WrongElection,
 )
 from blindvote.identity import CredentialIssuer, SigningRequest, sign_request, verify_request
-from blindvote.legacy import attack_k_reuse
+from blindvote.legacy import LegacyScenario, run_scenario
 from blindvote.tally import eligibility_audit, polling_gate, tally
 from blindvote.voter import format_payload, prepare_and_cast, verify_ballot
 
@@ -231,8 +231,8 @@ def test_05_cheating_authority_detected(key512, capsys):
 def test_06_k_reuse_attack_vs_blind_pipeline(key512, capsys):
     with criterion(capsys, 6, "shared-k attack voids 50 of 1,000; blind flow counts all"):
         config = make_config_2x3()
-        report = attack_k_reuse(
-            config, honest=950, compromised=50, rng=random.Random(0x06E1)
+        report = run_scenario(
+            config, LegacyScenario(honest=950, compromised=50, seed=0x06E1)
         )
         assert len(report.result.counted) == 950
         assert len(report.result.invalidated) == 50

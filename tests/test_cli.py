@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import os
 import random
@@ -19,9 +20,12 @@ from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
 from blindvote.identity import (
+    CredentialIssuer,
     load_registry,
     load_secrets,
     request_message,
+    save_registry,
+    save_secrets,
     sign_request,
     verify_request,
 )
@@ -495,6 +499,44 @@ class TestTallyAuditGate:
         rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election), "--fail-open")
         assert rc == 0
         assert out == "ALLOW V0001 reason=LookupUnavailable\n"
+
+
+class TestUtf8Payloads:
+    """Board payloads are UTF-8 text, so names and voter ids need not be ASCII."""
+
+    @pytest.mark.parametrize(
+        "party, cand, voter",
+        [("Écolo", "Frédéric", "V0001"), ("Alpha", "Anna", "Zoë")],
+    )
+    def test_tally_publishes_non_ascii_text(self, tmp_path, capsys, party, cand, voter):
+        config = make_config_2x3()
+        first = dataclasses.replace(
+            config.parties[0], name=party, candidates=(cand,) + config.parties[0].candidates[1:]
+        )
+        cfg = tmp_path / "cfg.txt"
+        save_config(dataclasses.replace(config, parties=(first, config.parties[1])), cfg)
+        d = tmp_path / "e"
+        assert main(["setup", "--dir", str(d), "--config", str(cfg), "--voters", "2",
+                     "--bits", "512", "--seed", "7"]) == 0
+        if voter != "V0001":
+            cred = CredentialIssuer(random.Random(5)).issue(voter)
+            with (d / "registry.txt").open("a") as fh:
+                save_registry({voter: cred.public}, fh)
+            with (d / "credentials.txt").open("a") as fh:
+                save_secrets([cred], fh)
+        rc, _, _ = run(capsys, "vote", "--dir", str(d), "--voter", voter,
+                       "--party", "0", "--approve", "0", "--seed", "21")
+        assert rc == 0
+        rc, report, _ = run(capsys, "tally", "--dir", str(d))
+        assert rc == 0
+        assert f"name={party}" in report and f"name={cand}" in report
+        rc, _, _ = run(capsys, "audit", "--dir", str(d))
+        assert rc == 0
+        rc, out, _ = run(capsys, "board", "verify", "--dir", str(d))
+        assert (rc, out) == (0, "OK records=5\n")
+        payloads = {r.kind: r.payload for r in BulletinBoard(d / "board.txt").records()}
+        assert payloads["TALLY"].decode() == report
+        assert payloads["REQUEST"].decode() + "\n" == (d / "requests.log").read_text()
 
 
 class TestAuthorityMailbox:

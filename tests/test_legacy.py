@@ -15,8 +15,6 @@ from blindvote.legacy import (
     LegacyCast,
     LegacyScenario,
     LegacyServer,
-    attack_k_reuse,
-    fill_note_sheet,
     format_scenario_report,
     legacy_tally,
     make_cast,
@@ -124,15 +122,17 @@ class TestLegacyTally:
         assert result.unknown_k == (0,)
 
     def test_published_codes_match_note_sheet(self):
-        server, rng = make_server()
+        server, _ = make_server()
         sheets = server.issue_sheets("V0007")
         sel = VoteSelection(party_index=1, approvals=frozenset({0, 2}))
         cast = make_cast(sheets, server.config, sel)
-        note = fill_note_sheet(sheets, server.config, cast, rng, copy_error_rate=0.0)
         result = legacy_tally(server, [cast])
         (k_hex, codes) = result.published_codes[0]
         assert k_hex == sheets.k.hex()
-        assert codes == tuple(code for _, code in note.entries)
+        assert codes == tuple(
+            sheets.code_sheet.stance_code(1, i, chosen)
+            for i, chosen in enumerate((True, False, True))
+        )
 
     def test_board_publication(self, tmp_path):
         server, rng = make_server()
@@ -163,42 +163,26 @@ class TestReceiptHazard:
         assert reconstruct_vote(sheets.code_sheet, ("ZZZZ", "ZZZZ", "ZZZZ")) is None
 
 
-class TestNoteSheetCopying:
-    def test_zero_error_rate_copies_exactly(self):
-        server, rng = make_server()
-        sheets = server.issue_sheets("V0001")
-        cast = make_cast(sheets, server.config, VoteSelection(party_index=0))
-        note = fill_note_sheet(sheets, server.config, cast, rng, copy_error_rate=0.0)
-        expected = tuple(
-            sheets.code_sheet.stance_code(0, i, False) for i in range(3)
-        )
-        assert tuple(code for _, code in note.entries) == expected
-
-    def test_full_error_rate_miscopies_everything(self):
-        server, rng = make_server()
-        sheets = server.issue_sheets("V0002")
-        cast = make_cast(sheets, server.config, VoteSelection(party_index=0))
-        note = fill_note_sheet(sheets, server.config, cast, rng, copy_error_rate=1.0)
-        correct = tuple(sheets.code_sheet.stance_code(0, i, False) for i in range(3))
-        assert all(code != good for (_, code), good in zip(note.entries, correct))
-
-
 class TestAttack:
     def test_minimal_two_devices(self):
         config = make_config_2x3()
-        report = attack_k_reuse(config, honest=5, compromised=2, rng=random.Random(8))
+        report = run_scenario(config, LegacyScenario(honest=5, compromised=2, seed=8))
         assert len(report.result.invalidated) == 2
         assert len(report.result.counted) == 5
         assert report.k_checks_passed
+        assert report.scenario == LegacyScenario(honest=5, compromised=2, seed=8)
 
     def test_m_below_two_rejected(self):
-        config = make_config_2x3()
         with pytest.raises(ValueError):
-            attack_k_reuse(config, honest=5, compromised=1)
+            LegacyScenario(honest=5, compromised=1)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            LegacyScenario(honest=-1, compromised=0)
 
     def test_scenario_50_4(self):
         config = make_config_2x3()
-        report = attack_k_reuse(config, honest=50, compromised=4, rng=random.Random(9))
+        report = run_scenario(config, LegacyScenario(honest=50, compromised=4, seed=9))
         assert len(report.result.counted) == 50
         assert len(report.result.invalidated) == 4
         assert report.receipt_match
