@@ -18,7 +18,7 @@ import threading
 from typing import Iterable, TextIO
 
 from . import blindsig
-from .board import BulletinBoard
+from .board import BoardBatch, BulletinBoard
 from .election import ElectionConfig, hex_int
 from .errors import (
     AlreadyRequested,
@@ -83,8 +83,9 @@ class SigningAuthority:
         """
         with self._lock:
             requests = list(self._log.values())
-        if board is not None:
-            publish_requests(board, requests)
+        if board is not None and requests:  # an empty log reads no board
+            with board.batch() as batch:
+                append_requests(batch, requests)
         return [(req.voter_id, req.blinded, req.credential_signature) for req in requests]
 
     def corrupt_sign(self, blinded: int) -> int:
@@ -156,16 +157,14 @@ def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
     return requests
 
 
-def publish_requests(board: BulletinBoard, requests: Iterable[SigningRequest]) -> None:
-    """Publish each request as a REQUEST record the board does not hold yet,
+def append_requests(batch: BoardBatch, requests: Iterable[SigningRequest]) -> None:
+    """Append each request the batch does not hold yet as a REQUEST record,
     so publishing the same log twice adds nothing the second time."""
-    lines = [format_request(req).encode() for req in requests]
-    if lines:  # an empty log reads no board, so it cannot fail here
-        with board.batch() as batch:  # the check and the writes share one lock
-            on_board = {rec.payload for rec in batch.records if rec.kind == "REQUEST"}
-            for line in lines:
-                if line not in on_board:
-                    batch.append("REQUEST", line)
+    on_board = {rec.payload for rec in batch.records if rec.kind == "REQUEST"}
+    for req in requests:
+        line = format_request(req).encode()
+        if line not in on_board:
+            batch.append("REQUEST", line)
 
 
 def format_response(result: int | ProtocolError) -> str:

@@ -513,26 +513,23 @@ def _bn_call(
 
 
 def _held(
-    lib: ctypes.CDLL,
     owner: object,
     attr: str,
     new: Callable[[], int],
     free: Callable[[int], None],
     fill: Callable[[int], None],
 ) -> int:
-    """owner's libcrypto object `attr` in `lib`, built on first use: new()
-    makes it, fill(obj) sets it up and free(obj) runs when owner is
-    collected. One built in a libcrypto that _libcrypto() no longer returns
-    is replaced, not used."""
-    held = owner.__dict__.get(attr)
-    if held is not None and held[0] is lib:
-        return held[1]
+    """owner's libcrypto object `attr`, built on first use: new() makes it,
+    fill(obj) sets it up and free(obj) runs when owner is collected."""
+    obj = owner.__dict__.get(attr)
+    if obj is not None:
+        return obj
     obj = new()
     if not obj:
         raise MemoryError(f"libcrypto {new.__name__} failed")
     weakref.finalize(owner, free, obj)
     fill(obj)
-    object.__setattr__(owner, attr, (lib, obj))
+    object.__setattr__(owner, attr, obj)
     return obj
 
 
@@ -559,7 +556,7 @@ def _rsa_handle(lib: ctypes.CDLL, key: BlindKeyPair) -> int:
                 for bn in nums:
                     lib.BN_clear_free(bn)
 
-    return _held(lib, key, "_rsa", lib.RSA_new, lib.RSA_free, fill)
+    return _held(key, "_rsa", lib.RSA_new, lib.RSA_free, fill)
 
 
 def _mont_ctx(lib: ctypes.CDLL, pub: PublicKey) -> int:
@@ -575,7 +572,7 @@ def _mont_ctx(lib: ctypes.CDLL, pub: PublicKey) -> int:
             lib.BN_CTX_free(ctx)
             lib.BN_clear_free(n)
 
-    return _held(lib, pub, "_mont", lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_free, fill)
+    return _held(pub, "_mont", lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_free, fill)
 
 
 def _private_pow(b: int, key: BlindKeyPair) -> int:

@@ -68,6 +68,14 @@ def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
+def voter_count(text: str) -> int:
+    """The type of --voters: a negative count is a usage error, not an empty roll."""
+    count = int(text)  # argparse reports "invalid voter_count value"
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 or more voters, got {count}")
+    return count
+
+
 class _Dir:
     """Path bundle for one election directory."""
 
@@ -236,24 +244,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _count(
-    d: _Dir,
-) -> tuple[ElectionConfig, TallyResult, list[SigningRequest], AuditReport]:
+def _count(d: _Dir) -> tuple[ElectionConfig, TallyResult, AuditReport]:
     """Tally the ballot box and audit it against the request log."""
     config = d.load_config()
     result = tally(d.load_pub(), config, d.load_box())
-    requests = d.load_requests()
-    audit = eligibility_audit(d.load_registry(), requests, result)
-    return config, result, requests, audit
+    audit = eligibility_audit(d.load_registry(), d.load_requests(), result)
+    return config, result, audit
 
 
 def cmd_tally(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
-    config, result, requests, audit = _count(d)
+    config, result, audit = _count(d)
     if not args.no_publish:
-        bb = board_mod.BulletinBoard(d.board)
-        authority_mod.publish_requests(bb, requests)
-        publish_tally(bb, config, result, audit)
+        publish_tally(board_mod.BulletinBoard(d.board), config, result, audit)
     sys.stdout.write(format_tally_report(config, result))
     return EXIT_OK
 
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("setup", help="create an election directory")
     p.add_argument("--dir", required=True, help="election directory to create")
     p.add_argument("--config", required=True, help="election config file to install")
-    p.add_argument("--voters", type=int, required=True, help="credentials to issue")
+    p.add_argument("--voters", type=voter_count, required=True, help="credentials to issue")
     p.add_argument("--bits", type=int, default=2048, help="authority key size")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_setup)

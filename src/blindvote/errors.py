@@ -145,7 +145,3 @@ class ChainBroken(ProtocolError):
 class IoFailure(ProtocolError):
     """A board read or write failed at the filesystem level."""
 
-
-class BoardWriteFailure(ProtocolError):
-    """Publishing tally evidence to the board failed; wraps the cause."""
-

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from . import voter
+from .authority import append_requests
 from .blindsig import PublicKey
 from .board import BulletinBoard
 from .election import ElectionConfig
 from .errors import (
     AlreadyRequested,
-    ChainBroken,
-    IoFailure,
-    BoardWriteFailure,
     LookupUnavailable,
     ProtocolError,
     UnknownVoter,
@@ -54,9 +52,13 @@ class TallyResult:
 @dataclass(frozen=True)
 class AuditReport:
     election_id: bytes
-    requests_total: int
+    requests: tuple[SigningRequest, ...]  # the log as audited, in log order
     requests_valid: int
     ballots_valid: int
+
+    @property
+    def requests_total(self) -> int:
+        return len(self.requests)
 
     @property
     def discrepancy(self) -> int:
@@ -136,10 +138,9 @@ def eligibility_audit(
     credential may serve several elections, so a request from another one
     proves nothing about this election's ballots.
     """
+    requests = tuple(request_log)
     valid_voters: set[str] = set()
-    total = 0
-    for req in request_log:
-        total += 1
+    for req in requests:
         if req.election_id != result.election_id:
             continue
         try:
@@ -149,7 +150,7 @@ def eligibility_audit(
         valid_voters.add(req.voter_id)
     return AuditReport(
         election_id=result.election_id,
-        requests_total=total,
+        requests=requests,
         requests_valid=len(valid_voters),
         ballots_valid=result.accepted,
     )
@@ -169,9 +170,7 @@ def polling_gate(
     with an explicit reason so station workers see why.
     """
     if requested is None:
-        if fail_open:
-            return GateResult(allow=True, reason=LookupUnavailable.__name__)
-        return GateResult(allow=False, reason=LookupUnavailable.__name__)
+        return GateResult(allow=fail_open, reason=LookupUnavailable.__name__)
     if voter_id not in registry:
         return GateResult(allow=False, reason=UnknownVoter.__name__)
     if voter_id in requested:
@@ -223,9 +222,9 @@ def publish_tally(
     result: TallyResult,
     audit: AuditReport,
 ) -> int:
-    """Publish the evidence trail in one batch: one digest record per
-    accepted ballot, then the tally and audit reports. Returns the number
-    of records added.
+    """Publish the count in one batch: the audited requests the board does
+    not hold yet, one digest record per accepted ballot, then the tally and
+    audit reports. Returns the number of records added.
 
     The digests go out sorted. The box holds ballots in arrival order,
     which in this simulation is request-log order, and the board lists the
@@ -233,12 +232,10 @@ def publish_tally(
     requester with the i-th ballot.
     """
     digests = sorted(voter.payload_digest(payload) for payload in result.accepted_payloads)
-    try:
-        with board.batch() as batch:
-            for digest in digests:
-                batch.append("BALLOT_DIGEST", digest.encode())
-            batch.append("TALLY", format_tally_report(config, result).encode())
-            batch.append("AUDIT", format_audit_report(audit).encode())
-    except (ChainBroken, IoFailure) as exc:
-        raise BoardWriteFailure(f"tally publication failed: {exc}") from exc
+    with board.batch() as batch:
+        append_requests(batch, audit.requests)
+        for digest in digests:
+            batch.append("BALLOT_DIGEST", digest.encode())
+        batch.append("TALLY", format_tally_report(config, result).encode())
+        batch.append("AUDIT", format_audit_report(audit).encode())
     return len(batch.added)

@@ -409,30 +409,10 @@ class TestRsaHandle:
         key = fresh_classic_key()
         assert sign_blinded(65, key) == SIGN_65
         assert sign_blinded(65, key) == SIGN_65  # one handle per key, not per call
-        rsa = key._rsa[1]
+        rsa = key._rsa
         del key
         gc.collect()
         assert freed == [rsa]
-
-    @needs_libcrypto
-    def test_no_stale_handle_after_cache_clear(self, monkeypatch):
-        key = fresh_classic_key()
-        assert sign_blinded(65, key) == SIGN_65
-        old_lib, old_rsa = key._rsa
-        blindsig._libcrypto.cache_clear()
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
-                m.setattr(ctypes.util, "find_library", lambda name: None)
-                assert sign_blinded(65, key) == SIGN_65
-                assert key._rsa == (old_lib, old_rsa)  # pow signed; the handle sat idle
-            blindsig._libcrypto.cache_clear()
-            assert sign_blinded(65, key) == SIGN_65
-            lib, rsa = key._rsa
-            assert lib is blindsig._libcrypto() is not old_lib
-            assert rsa != old_rsa
-        finally:
-            blindsig._libcrypto.cache_clear()
 
     def test_copies_build_their_own_handle(self):
         key = fresh_classic_key()
@@ -495,33 +475,13 @@ class TestMontgomeryChain:
         )
         key = fresh_classic_key()
         assert sign_blinded(65, key) == SIGN_65
-        mont = key.public._mont[1]
+        mont = key.public._mont
         assert blind(65, 7, key.public) == BLIND_65_R7
         assert verify_recover(SIGN_65, key.public) == 65
-        assert key.public._mont == (lib, mont)  # one context per key, not per call
+        assert key.public._mont == mont  # one context per key, not per call
         del key
         gc.collect()
         assert freed == [mont]
-
-    @needs_libcrypto
-    def test_no_stale_context_after_cache_clear(self, monkeypatch):
-        pub = fresh_classic_key().public
-        assert blind(65, 7, pub) == BLIND_65_R7
-        old_lib, old_mont = pub._mont
-        blindsig._libcrypto.cache_clear()
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
-                m.setattr(ctypes.util, "find_library", lambda name: None)
-                assert blind(65, 7, pub) == BLIND_65_R7
-                assert pub._mont == (old_lib, old_mont)  # pow ran; the context sat idle
-            blindsig._libcrypto.cache_clear()
-            assert blind(65, 7, pub) == BLIND_65_R7
-            lib, mont = pub._mont
-            assert lib is blindsig._libcrypto() is not old_lib
-            assert mont != old_mont
-        finally:
-            blindsig._libcrypto.cache_clear()
 
     def test_context_stays_out_of_equality_repr_and_pickles(self):
         pub = fresh_classic_key().public

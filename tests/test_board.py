@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from blindvote import board as board_mod
-from blindvote.authority import publish_requests
+from blindvote.authority import append_requests
 from blindvote.board import KINDS, BoardRecord, BulletinBoard, board_verify
 from blindvote.cli import main
 from blindvote.errors import ChainBroken
@@ -266,7 +266,7 @@ def test_publish_tally_replays_once(tmp_path, monkeypatch):
         rejected=(),
         duplicates=(),
     )
-    audit = AuditReport(config.election_id, 50, 50, 50)
+    audit = AuditReport(config.election_id, (), 50, 50)
     path = tmp_path / "board.txt"
     board = BulletinBoard(path)
     board.append("META", b"setup")
@@ -290,10 +290,13 @@ def test_publish_requests_replays_once(tmp_path, monkeypatch):
     ]
     path = tmp_path / "board.txt"
     board = BulletinBoard(path)
-    publish_requests(board, requests[:5])
+    with board.batch() as batch:
+        append_requests(batch, requests[:5])
     calls = _count_replays(monkeypatch)
-    publish_requests(board, requests)
+    with board.batch() as batch:
+        append_requests(batch, requests)
     assert len(calls) == 1
+    assert len(batch.added) == 15
     assert len(board.records()) == 20
     assert board_verify(path) is None
 

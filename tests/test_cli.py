@@ -15,7 +15,7 @@ import blindvote
 from blindvote import identity
 from blindvote.authority import SigningAuthority, format_request
 from blindvote.blindsig import blind, random_unit
-from blindvote.board import BulletinBoard, board_verify
+from blindvote.board import BoardBatch, BulletinBoard, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
@@ -128,6 +128,25 @@ class TestSetup:
         assert (rc, out) == (1, "")
         assert err.startswith("ERR ModulusTooSmall:")
         assert not d.exists()
+
+    def test_negative_voter_count_is_a_usage_error(self, tmp_path, config_file, capsys):
+        d = tmp_path / "neg"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["setup", "--dir", str(d), "--config", str(config_file),
+                  "--voters", "-3", "--bits", "512", "--seed", "1"])
+        assert exc_info.value.code == 2
+        assert "--voters" in capsys.readouterr().err
+        assert not d.exists()
+
+    def test_zero_voters_is_a_valid_roll(self, tmp_path, config_file, capsys):
+        d = tmp_path / "empty"
+        rc, out, _ = run(
+            capsys, "setup", "--dir", str(d), "--config", str(config_file),
+            "--voters", "0", "--bits", "512", "--seed", "1",
+        )
+        assert rc == 0
+        assert "voters=0" in out
+        assert (d / "registry.txt").read_text() == ""
 
     def test_narrowest_modulus_carries_a_ballot(self, tmp_path, config_file, capsys):
         d = tmp_path / "narrowest"
@@ -310,6 +329,38 @@ class TestTallyAuditGate:
                          "BALLOT_DIGEST", "TALLY", "AUDIT",
                          "BALLOT_DIGEST", "TALLY", "AUDIT"]
         assert board_verify(election / "board.txt") is None
+
+    def test_failed_write_leaves_the_board_as_it_was(self, election, capsys, monkeypatch):
+        # A count is one batch: a write that fails at its TALLY record
+        # publishes none of its REQUEST or BALLOT_DIGEST records either.
+        self.cast(capsys, election, "V0001", 0, 21)
+        self.cast(capsys, election, "V0002", 1, 22)
+        before = (election / "board.txt").read_bytes()
+        append = BoardBatch.append
+
+        def full_at_tally(batch, kind, payload):
+            if kind == "TALLY":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(batch, kind, payload)
+
+        monkeypatch.setattr(BoardBatch, "append", full_at_tally)
+        rc, out, err = run(capsys, "tally", "--dir", str(election))
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR IoFailure:")
+        assert (election / "board.txt").read_bytes() == before
+
+    @pytest.mark.parametrize("votes", [0, 1])
+    def test_corrupt_board_is_chain_broken_with_or_without_votes(self, election, capsys,
+                                                                 votes):
+        if votes:
+            self.cast(capsys, election, "V0001", 0, 21)
+        path = election / "board.txt"
+        path.write_text(path.read_text().replace("|META|", "|Meta|", 1))
+        before = path.read_bytes()
+        rc, out, err = run(capsys, "tally", "--dir", str(election))
+        assert (rc, out) == (1, "")
+        assert err == "ERR ChainBroken: hash chain broken at seq 0\n"
+        assert path.read_bytes() == before
 
     def test_no_publish_leaves_board_alone(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindvote.authority import SigningAuthority, publish_requests
+from blindvote.authority import SigningAuthority, format_request
 from blindvote.blindsig import blind, random_unit, unblind
 from blindvote import codec, voter
 from blindvote.board import BulletinBoard, board_verify
 from blindvote.election import VoteSelection
-from blindvote.errors import BoardWriteFailure
+from blindvote.errors import ChainBroken
 from blindvote.identity import CredentialIssuer, SigningRequest, sign_request
 from blindvote.tally import (
     eligibility_audit,
@@ -209,6 +209,7 @@ class TestAudit:
         )
         result = tally(key512.public, w.config, box)
         report = eligibility_audit(w.registry, requests, result)
+        assert report.requests == tuple(requests)  # the log as audited, in order
         assert report.requests_total == 5
         assert report.requests_valid == 4
         assert report.cheat_flag  # 5 ballots > 4 valid requests
@@ -263,14 +264,18 @@ class TestPublish:
         report = eligibility_audit(w.registry, w.requests(), result)
         board = BulletinBoard(tmp_path / "board.txt")
         added = publish_tally(board, w.config, result, report)
-        assert added == 4 + 2
+        assert added == 4 + 4 + 2
         records = board.records()
         digests = [r.payload.decode() for r in records if r.kind == "BALLOT_DIGEST"]
         assert sorted(digests) == sorted(payload_digest(p) for p in box)
         assert len(set(digests)) == 4  # each exactly once
         kinds = [r.kind for r in records]
-        assert kinds.count("TALLY") == 1 and kinds.count("AUDIT") == 1
+        assert kinds == ["REQUEST"] * 4 + ["BALLOT_DIGEST"] * 4 + ["TALLY", "AUDIT"]
+        assert [r.payload for r in records[:4]] == [
+            format_request(req).encode() for req in w.requests()
+        ]
         assert board_verify(tmp_path / "board.txt") is None
+        assert publish_tally(board, w.config, result, report) == 4 + 2  # requests once
 
     def test_note_sheet_digest_findable(self, key512, tmp_path):
         w = World(key512, n_voters=2)
@@ -303,7 +308,6 @@ class TestPublish:
             report = eligibility_audit(w.registry, w.requests(), result)
             with tempfile.TemporaryDirectory() as tmp:
                 board = BulletinBoard(Path(tmp) / "board.txt")
-                publish_requests(board, w.requests())
                 publish_tally(board, w.config, result, report)
                 records = board.records()
             requesters = [r.payload.decode().split()[1] for r in records if r.kind == "REQUEST"]
@@ -312,7 +316,7 @@ class TestPublish:
 
         assert published(order) == published(sorted(order))
 
-    def test_write_failure_wrapped(self, key512, tmp_path):
+    def test_corrupt_board_is_chain_broken_and_left_alone(self, key512, tmp_path):
         w = World(key512, n_voters=1)
         box = [w.cast(VoteSelection(party_index=0))]
         result = tally(key512.public, w.config, box)
@@ -322,8 +326,11 @@ class TestPublish:
         board.append("META", b"x")
         text = path.read_text()
         path.write_text(text.replace("META", "META".lower(), 1))
-        with pytest.raises(BoardWriteFailure):
+        corrupt = path.read_bytes()
+        with pytest.raises(ChainBroken) as exc_info:
             publish_tally(board, w.config, result, report)
+        assert exc_info.value.seq == 0
+        assert path.read_bytes() == corrupt
 
 
 class TestReports:
