@@ -14,6 +14,7 @@ compares ballots against voter-signed requests it cannot forge.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Iterable, TextIO
 
@@ -95,17 +96,21 @@ class SigningAuthority:
         with self._lock:
             return blindsig.sign_blinded(blinded, self.key)
 
-    def save_request_log(self, out: TextIO) -> None:
-        """Persist the log as REQ lines (the authority's only durable state)."""
+    def save_request_log(self, out: TextIO, *, after: int = 0) -> None:
+        """Persist the log as REQ lines (the authority's only durable state).
+        With after=k only the entries past the first k are written: the
+        lines to append to a saved log of k entries."""
         with self._lock:
-            for req in self._log.values():
+            for req in itertools.islice(self._log.values(), after, None):
                 out.write(format_request(req) + "\n")
 
-    def load_request_log(self, src: TextIO) -> None:
-        """Restore a previously saved log (replaces the in-memory log)."""
+    def load_request_log(self, src: TextIO) -> int:
+        """Restore a previously saved log (replaces the in-memory log) and
+        return the number of entries it holds."""
         log = {req.voter_id: req for req in read_request_log(src)}
         with self._lock:
             self._log = log
+        return len(log)
 
 
 # --- text framing for the file-based mailbox ---

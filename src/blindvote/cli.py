@@ -13,7 +13,9 @@
 
 Every subcommand reads and writes only these files. Randomized steps take
 --seed so a scripted run is reproducible byte for byte. `vote` and
-`authority` flock the directory from loading requests.log to replacing it.
+`authority` flock the directory exclusively from loading requests.log to
+the fsync of the lines they append; `gate`, `tally` and `audit` read the log
+under a shared flock, so they never see part of an append.
 `vote` and `gate` parse only the lines of credentials.txt and registry.txt
 that contain their voter's id, so a fault in another voter's line does not
 stop them; `authority`, `tally` and `audit` parse every line.
@@ -109,40 +111,64 @@ class _Dir:
             return load_registry(fh, voter_id)
 
     @contextlib.contextmanager
+    def _flock(self, operation: int) -> Iterator[None]:
+        """Hold flock(operation) on the election directory."""
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, operation)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
+
+    @contextlib.contextmanager
     def locked_authority(
         self, voter_id: str | None = None
     ) -> Iterator[authority_mod.SigningAuthority]:
         """The authority restored from requests.log under an exclusive flock
-        on the directory; the log is saved, still locked, on a clean exit.
-        With a voter_id its registry holds that voter alone, so it can sign
-        for no one else."""
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
+        on the directory. On a clean exit, still locked, the requests signed
+        inside the block are appended to the log and fsynced, so no
+        signature leaves before its line is durable; if the append fails,
+        the log is truncated back to its size before it. With a voter_id
+        its registry holds that voter alone, so it can sign for no one
+        else.
+
+        No code inside the block may call load_requests: its shared flock,
+        on a second descriptor, would wait for this one forever.
+
+        A kill inside the write, or power loss, can still leave an
+        unterminated fragment at the end of the log. Every reader then stops
+        with BadFraming until the log is truncated after its last "\n";
+        that is safe, because the fragment's signature never left."""
+        with self._flock(fcntl.LOCK_EX):
             auth = authority_mod.SigningAuthority(
                 self.load_config(), self.load_key(), self.load_registry(voter_id)
             )
             with self.requests.open() as fh:
-                auth.load_request_log(fh)
+                loaded = auth.load_request_log(fh)
             yield auth
-            tmp = self.requests.with_name(self.requests.name + ".tmp")
-            with tmp.open("w") as fh:
-                auth.save_request_log(fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.requests)  # readers see the old log or the new
-            # Make the rename durable before a signature leaves: a rename
-            # undone by power loss would let the voter ask again.
-            os.fsync(fd)
-        finally:
-            os.close(fd)  # releases the lock
+            size = self.requests.stat().st_size
+            try:
+                with self.requests.open("a+") as fh:
+                    # A log that lost its last "\n" would glue the first new
+                    # line onto its last one.
+                    if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+                        fh.write("\n")
+                    auth.save_request_log(fh, after=loaded)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except BaseException:
+                # Closing the file flushed any part of a line; cut it off.
+                os.truncate(self.requests, size)
+                raise
 
     def load_box(self) -> list[str]:
         with self.ballotbox.open(errors="replace") as fh:
             return load_ballot_box(fh)
 
     def load_requests(self) -> list[SigningRequest]:
-        with self.requests.open() as fh:
+        """The whole log, read under a shared flock so that no append is
+        seen in part."""
+        with self._flock(fcntl.LOCK_SH), self.requests.open() as fh:
             return authority_mod.read_request_log(fh)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import os
 import random
 
 import pytest
@@ -64,3 +66,10 @@ def inject_crt_fault(monkeypatch: pytest.MonkeyPatch) -> None:
         return (exact(b, key) + key.q * key.qinv) % key.n
 
     monkeypatch.setattr(blindsig, "_private_pow", faulty)
+
+
+def disk_full(self, out, *, after=0):
+    """Stands in for SigningAuthority.save_request_log: part of a line, then
+    the disk is full."""
+    out.write("REQ V00")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

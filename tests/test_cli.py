@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import fcntl
 import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import blindvote
 from blindvote import identity
-from blindvote.authority import SigningAuthority, format_request
+from blindvote.authority import SigningAuthority, format_request, read_request_log
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BoardBatch, BulletinBoard, board_verify
 from blindvote.cli import main
@@ -30,7 +32,7 @@ from blindvote.identity import (
     verify_request,
 )
 
-from conftest import FIXTURE_ELECTION_ID, inject_crt_fault, make_config_2x3
+from conftest import FIXTURE_ELECTION_ID, disk_full, inject_crt_fault, make_config_2x3
 
 
 @pytest.fixture()
@@ -221,7 +223,7 @@ class TestVote:
         mailbox = tmp_path / "mail.txt"
         mailbox.write_text("")
         with monkeypatch.context() as m:
-            m.setattr(SigningAuthority, "save_request_log", _disk_full)
+            m.setattr(SigningAuthority, "save_request_log", disk_full)
             rc, _, err = run(capsys, "authority", "--dir", str(election),
                              "--mailbox", str(mailbox))
         assert rc == 1
@@ -647,7 +649,7 @@ class TestAuthorityMailbox:
         before = log.read_bytes()
         mailbox = tmp_path / "mail.txt"
         mailbox.write_text(_signed_request(election, "V0001") + "\n")
-        monkeypatch.setattr(SigningAuthority, "save_request_log", _disk_full)
+        monkeypatch.setattr(SigningAuthority, "save_request_log", disk_full)
         rc, out, err = run(capsys, "authority", "--dir", str(election),
                            "--mailbox", str(mailbox))
         assert (rc, out) == (1, "")
@@ -732,33 +734,78 @@ class TestSigningFault:
         assert (election / "requests.log").read_bytes() == log
 
 
-@pytest.mark.parametrize("command", ["vote", "authority"])
-def test_request_log_rename_is_synced(election, capsys, tmp_path, monkeypatch, command):
-    # Until the directory is synced, power loss can undo the rename of the
-    # new requests.log after the voter already holds a signature.
-    events = []
-    fsync, replace = os.fsync, os.replace
-
-    def spy_fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_ino))
-        fsync(fd)
-
-    def spy_replace(src, dst):
-        replace(src, dst)
-        events.append(("replace", Path(dst).name))
-
-    monkeypatch.setattr(os, "fsync", spy_fsync)
-    monkeypatch.setattr(os, "replace", spy_replace)
+@pytest.mark.parametrize("command, output", [
+    pytest.param("vote", "V0001.txt", id="vote"),
+    pytest.param("authority", "mail.txt.rsp", id="authority"),
+])
+def test_request_log_append_is_synced(election, capsys, tmp_path, monkeypatch,
+                                      command, output):
+    # Until requests.log is fsynced, power loss can drop the appended line
+    # after the voter already holds a signature.
     if command == "vote":
         argv = ["--voter", "V0001", "--party", "0", "--seed", "11"]
     else:
         mailbox = tmp_path / "mail.txt"
         mailbox.write_text(_signed_request(election, "V0001") + "\n")
         argv = ["--mailbox", str(mailbox)]
+    log = election / "requests.log"
+    events = []
+    fsync, write_text = os.fsync, Path.write_text
+
+    def spy_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def spy_write_text(path, *args, **kwargs):
+        events.append(("write", path.name))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(Path, "write_text", spy_write_text)
     rc, _, _ = run(capsys, command, "--dir", str(election), *argv)
     assert rc == 0
-    renamed = events.index(("replace", "requests.log"))
-    assert ("fsync", election.stat().st_ino) in events[renamed:]
+    assert log.read_text().split()[1::5] == ["V0001"]
+    assert events.index(("fsync", log.stat().st_ino)) < events.index(("write", output))
+
+
+@pytest.mark.parametrize("argv", [["gate", "V0001"], ["tally", "--no-publish"],
+                                  ["audit"]])
+def test_readers_wait_for_a_commit_in_progress(election, capsys, argv):
+    # The shared flock is what keeps a reader from seeing part of an append;
+    # a commit holds the exclusive one.
+    results = []
+    reader = threading.Thread(
+        target=lambda: results.append(main([*argv, "--dir", str(election)])))
+    fd = os.open(election, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        reader.start()
+        reader.join(timeout=0.5)
+        assert reader.is_alive() and results == []
+    finally:
+        os.close(fd)
+    reader.join(timeout=60)
+    assert results == [0]
+
+
+def test_log_without_its_last_newline_takes_the_next_append(election, capsys):
+    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                   "--party", "0", "--seed", "21")
+    assert rc == 0
+    log = election / "requests.log"
+    log.write_bytes(log.read_bytes()[:-1])
+    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
+                   "--party", "1", "--seed", "22")
+    assert rc == 0
+    with log.open() as fh:
+        logged = read_request_log(fh)
+    assert [req.voter_id for req in logged] == ["V0001", "V0002"]
+    assert log.read_text() == "".join(format_request(req) + "\n" for req in logged)
+    for voter_id in ("V0001", "V0002"):
+        rc, out, _ = run(capsys, "gate", voter_id, "--dir", str(election))
+        assert (rc, out) == (3, f"BLOCK {voter_id} reason=AlreadyRequested\n")
+    assert run(capsys, "tally", "--dir", str(election))[0] == 0
+    assert run(capsys, "audit", "--dir", str(election))[0] == 0
 
 
 class TestBoardCommand:
@@ -856,7 +903,8 @@ class TestUsageAndErrors:
 
 
 # Each racer imports the package, reports ready, then waits for the go file,
-# so all of them enter `blindvote vote` within a millisecond or so.
+# so all of them enter their command within a millisecond or so. A racer
+# runs its command `repeat` times in a row and exits with the largest code.
 _RACER = """
 import sys, time
 from pathlib import Path
@@ -865,7 +913,7 @@ Path(sys.argv[1]).touch()
 go = Path(sys.argv[2])
 while not go.exists():
     time.sleep(0.0005)
-sys.exit(main(sys.argv[3:]))
+sys.exit(max(main(sys.argv[4:]) for _ in range(int(sys.argv[3]))))
 """
 
 
@@ -877,17 +925,18 @@ def _env():
     return env
 
 
-def _race(tmp_path, argvs, timeout=60.0):
-    """Run `blindvote` once per argv, all released at once; return (rc, stderr)."""
+def _race(tmp_path, argvs, timeout=60.0, repeats=None):
+    """Run `blindvote` once per argv, or repeats[i] times in a row for argv i,
+    in one process per argv, all released at once; return (rc, stderr)."""
     env = _env()
     go = tmp_path / "go"
     ready = [tmp_path / f"ready{i}" for i in range(len(argvs))]
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", _RACER, str(flag), str(go), *argv],
+            [sys.executable, "-c", _RACER, str(flag), str(go), str(repeat), *argv],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
         )
-        for flag, argv in zip(ready, argvs)
+        for flag, repeat, argv in zip(ready, repeats or [1] * len(argvs), argvs)
     ]
     try:
         deadline = time.monotonic() + timeout
@@ -922,6 +971,20 @@ class TestConcurrentProcesses:
         rc, out, _ = run(capsys, "audit", "--dir", str(six_voters))
         assert rc == 0
         assert "requests_valid=6" in out and "ballots_valid=6" in out
+
+    def test_gates_never_read_part_of_an_append(self, six_voters, tmp_path):
+        # Each append writes whole lines under the exclusive lock, and gate
+        # reads under the shared one, so a gate polling during the votes sees
+        # each line whole or not at all.
+        votes = [["vote", "--dir", str(six_voters), "--voter", f"V000{i}",
+                  "--party", "0", "--seed", str(i)] for i in range(1, 7)]
+        gates = [["gate", f"V000{i}", "--dir", str(six_voters)] for i in (1, 4, 6)]
+        results = _race(tmp_path, votes + gates, repeats=[1] * 6 + [60] * 3)
+        assert results[:6] == [(0, "")] * 6
+        assert all(rc in (0, 3) and err == "" for rc, err in results[6:]), results[6:]
+        with (six_voters / "requests.log").open() as fh:
+            logged = [req.voter_id for req in read_request_log(fh)]
+        assert sorted(logged) == [f"V000{i}" for i in range(1, 7)]
 
     def test_one_voter_gets_one_ballot(self, six_voters, tmp_path):
         argvs = [["vote", "--dir", str(six_voters), "--voter", "V0001",
@@ -1024,11 +1087,6 @@ def test_vote_and_gate_parse_one_line_of_a_large_roll(tmp_path, config_file, cap
     parsed.clear()
     rc, _, _ = run(capsys, "audit", "--dir", str(d))
     assert (rc, len(parsed)) == (0, 3000)  # the audit still reads the whole roll
-
-
-def _disk_full(self, out):
-    out.write("REQ V00")  # part of a line, then the disk is full
-    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def _signed_request(election, voter_id):

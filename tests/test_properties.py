@@ -1,13 +1,17 @@
 """Property tests: codec, payload framing and the directory's line formats
-each round-trip, the readers skip blank and comment lines alike, and a board
-batch writes what the same appends one by one would."""
+each round-trip, the readers skip blank and comment lines alike, a board
+batch writes what the same appends one by one would, and the request log's
+appends write what a rewrite of the whole log would."""
 
 from __future__ import annotations
 
 import base64
 import io
+import random
+import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -19,11 +23,13 @@ from blindvote.authority import (
     read_request_log,
 )
 from blindvote.board import KINDS, BulletinBoard, board_verify
+from blindvote.cli import main
 from blindvote.election import (
     MAX_CANDIDATES,
     ElectionConfig,
     Party,
     VoteSelection,
+    save_config,
 )
 from blindvote.errors import BadFraming, ParseError
 from blindvote.identity import (
@@ -33,10 +39,11 @@ from blindvote.identity import (
     load_secrets,
     save_registry,
     save_secrets,
+    sign_request,
 )
 from blindvote.voter import PAYLOAD_PREFIX, format_payload, parse_payload
 
-from conftest import FIXTURE_ELECTION_ID, make_config_2x3
+from conftest import FIXTURE_ELECTION_ID, disk_full, make_config_2x3
 
 # Small example counts keep the whole suite quick; failing examples are not
 # stored between runs.
@@ -236,6 +243,60 @@ class TestDirectoryFiles:
         assert auth.export_request_log() == [
             (req.voter_id, req.blinded, req.credential_signature) for req in requests
         ]
+
+
+@pytest.fixture(scope="module")
+def six_voter_election(tmp_path_factory):
+    """A seeded 512-bit election of six voters, and one signed request per voter."""
+    root = tmp_path_factory.mktemp("appends")
+    save_config(make_config_2x3(), root / "cfg.txt")
+    d = root / "e"
+    assert main(["setup", "--dir", str(d), "--config", str(root / "cfg.txt"),
+                 "--voters", "6", "--bits", "512", "--seed", "5"]) == 0
+    with (d / "credentials.txt").open() as fh:
+        creds = load_secrets(fh)
+    rng = random.Random(6)
+    requests = [sign_request(cred, FIXTURE_ELECTION_ID, rng.getrandbits(500))
+                for cred in creds.values()]
+    return d, requests
+
+
+class TestRequestLogAppends:
+    @FAST
+    @given(
+        commits=st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=6),
+        failing=st.integers(0, 6),
+    )
+    def test_appends_write_the_bytes_of_a_rewrite(self, six_voter_election, key512,
+                                                  commits, failing):
+        # Each commit is an `authority` mailbox run; repeats within and across
+        # mailboxes are refused, and the commit numbered `failing` (if any)
+        # fails part-way through its append and keeps none of its requests.
+        election, requests = six_voter_election
+        logged: dict[str, SigningRequest] = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp) / "e"
+            shutil.copytree(election, d)
+            mailbox = Path(tmp) / "mail.txt"
+            for i, batch in enumerate(commits):
+                mailbox.write_text("".join(format_request(requests[k]) + "\n"
+                                           for k in batch))
+                argv = ["authority", "--dir", str(d), "--mailbox", str(mailbox)]
+                if i == failing:
+                    with mock.patch.object(SigningAuthority, "save_request_log",
+                                           disk_full):
+                        assert main(argv) == 1
+                    continue
+                assert main(argv) == 0
+                for k in batch:
+                    logged.setdefault(requests[k].voter_id, requests[k])
+            text = (d / "requests.log").read_text()
+        assert text == "".join(format_request(req) + "\n" for req in logged.values())
+        auth = SigningAuthority(make_config_2x3(), key512, {})
+        auth.load_request_log(io.StringIO(text))
+        rewrite = io.StringIO()
+        auth.save_request_log(rewrite)
+        assert rewrite.getvalue() == text
 
 
 class TestBoardBatch:
