@@ -146,10 +146,16 @@ def parse_request(line: str) -> SigningRequest:
 
 
 def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
-    """Parse a saved request log: one REQ line per request, blank lines skipped.
-    A "#" line, an undecodable byte or a voter listed twice is BadFraming too."""
+    """Parse a saved request log: one REQ line per request, each ended by
+    "\n", blank lines skipped. Text after the last "\n" (a torn append), a
+    "#" line, an undecodable byte or a voter listed twice is BadFraming too."""
+    requests: list[SigningRequest] = []
     try:
-        requests = [parse_request(line) for line in src if line.strip()]
+        for line in src:
+            if not line.endswith("\n"):  # only the last line can lack it
+                raise BadFraming("request log's last line is torn (no final newline)")
+            if line.strip():
+                requests.append(parse_request(line))
     except UnicodeDecodeError as exc:
         raise BadFraming(
             f"request log does not decode as {exc.encoding}: {exc.reason}"

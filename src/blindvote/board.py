@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ChainBroken, IoFailure
+from .errors import ChainBroken
 
 KINDS = ("REQUEST", "BALLOT_DIGEST", "TALLY", "AUDIT", "CODE_PUBLISH", "META")
 
@@ -61,8 +61,6 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
         text = path.read_bytes().decode("ascii", errors="replace")
     except FileNotFoundError:
         return [], None
-    except OSError as exc:
-        raise IoFailure(f"cannot read board {path}: {exc}") from exc
     *lines, tail = text.split("\n")
     records: list[BoardRecord] = []
     prev = _GENESIS
@@ -126,19 +124,16 @@ class BulletinBoard:
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[BoardBatch]:
-        """Raises ChainBroken if the board is corrupt; I/O errors, including
-        an OSError raised inside the batch, become IoFailure."""
-        try:
-            with self.path.open("a", encoding="ascii") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
-                records, broken = _replay(self.path)
-                if broken is not None:
-                    raise ChainBroken(broken)
-                batch = BoardBatch(records)
-                yield batch
-                fh.write("".join(rec.line + "\n" for rec in batch.added))
-        except OSError as exc:
-            raise IoFailure(f"cannot append to board {self.path}: {exc}") from exc
+        """Raises ChainBroken if the board is corrupt. An OSError propagates
+        unchanged; the CLI prints it as IoFailure, as for every other file."""
+        with self.path.open("a", encoding="ascii") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+            records, broken = _replay(self.path)
+            if broken is not None:
+                raise ChainBroken(broken)
+            batch = BoardBatch(records)
+            yield batch
+            fh.write("".join(rec.line + "\n" for rec in batch.added))
 
     def append(self, kind: str, payload: bytes) -> BoardRecord:
         with self.batch() as batch:

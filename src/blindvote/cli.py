@@ -136,9 +136,10 @@ class _Dir:
         on a second descriptor, would wait for this one forever.
 
         A kill inside the write, or power loss, can still leave an
-        unterminated fragment at the end of the log. Every reader then stops
-        with BadFraming until the log is truncated after its last "\n";
-        that is safe, because the fragment's signature never left."""
+        unterminated fragment at the end of the log, parsable or not.
+        read_request_log refuses it, so every reader, this one included,
+        stops with BadFraming until the log is truncated after its last
+        "\n"; that is safe, because the fragment's signature never left."""
         with self._flock(fcntl.LOCK_EX):
             auth = authority_mod.SigningAuthority(
                 self.load_config(), self.load_key(), self.load_registry(voter_id)
@@ -148,11 +149,7 @@ class _Dir:
             yield auth
             size = self.requests.stat().st_size
             try:
-                with self.requests.open("a+") as fh:
-                    # A log that lost its last "\n" would glue the first new
-                    # line onto its last one.
-                    if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
-                        fh.write("\n")
+                with self.requests.open("a") as fh:
                     auth.save_request_log(fh, after=loaded)
                     fh.flush()
                     os.fsync(fh.fileno())
@@ -234,7 +231,11 @@ def cmd_vote(args: argparse.Namespace) -> int:
     (d.ballots / f"{args.voter}.txt").write_text(artifact.text)
     (d.notes / f"{args.voter}.txt").write_text(note.text)
     if not args.no_mail:
-        with d.ballotbox.open("a") as fh:
+        with d.ballotbox.open("a+") as fh:
+            # Start a fresh line, so a torn last line is rejected on its own.
+            end = fh.tell()
+            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                fh.write("\n")
             fh.write(artifact.payload + "\n")
     print(artifact.payload)
     return EXIT_OK

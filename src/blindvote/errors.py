@@ -140,8 +140,3 @@ class ChainBroken(ProtocolError):
     def __init__(self, seq: int):
         super().__init__(f"hash chain broken at seq {seq}")
         self.seq = seq
-
-
-class IoFailure(ProtocolError):
-    """A board read or write failed at the filesystem level."""
-

@@ -14,6 +14,7 @@ from blindvote.authority import (
     format_response,
     parse_request,
     process_mailbox,
+    read_request_log,
 )
 from blindvote.blindsig import CLASSIC_TOY_KEY, blind, random_unit, verify_recover
 from blindvote.board import BulletinBoard
@@ -287,6 +288,23 @@ class TestDurableState:
         assert restored.export_request_log() == auth.export_request_log()
         with pytest.raises(AlreadyRequested):
             restored.handle_request(make_request(creds[0], blinded=99))
+
+    def test_only_the_whole_text_of_a_torn_log_parses(self):
+        # A kill inside an append can cut the last line anywhere, even where
+        # the rest still parses; only a cut after a "\n" leaves a log.
+        _, auth, creds, _ = make_world(2)
+        for i, c in enumerate(creds):
+            auth.handle_request(make_request(c, blinded=80 + i))
+        buf = io.StringIO()
+        auth.save_request_log(buf)
+        text = buf.getvalue()
+        first = text.index("\n") + 1
+        for cut in range(first + 1, len(text)):
+            with pytest.raises(BadFraming):
+                read_request_log(io.StringIO(text[:cut]))
+        for cut, count in ((first, 1), (len(text), 2)):
+            parsed = read_request_log(io.StringIO(text[:cut]))
+            assert [req.voter_id for req in parsed] == logged(auth)[:count]
 
     def test_state_never_contains_ballot_plaintext(self, key512):
         # The authority's durable state must hold only blinded values.

@@ -234,6 +234,22 @@ class TestVote:
         assert rc == 1
         assert err.startswith("ERR AlreadyRequested:")
 
+    def test_torn_box_line_does_not_swallow_the_next_ballot(self, election, capsys):
+        # Appended after the cut, V0002's ballot would share the fragment's
+        # line and be rejected with it.
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "21")
+        assert rc == 0
+        box = election / "ballotbox.txt"
+        box.write_bytes(box.read_bytes()[:-20])
+        rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
+                       "--party", "1", "--seed", "22")
+        assert rc == 0
+        rc, out, _ = run(capsys, "tally", "--dir", str(election), "--no-publish")
+        assert rc == 0
+        assert "ballots total=2 accepted=1 rejected=1 duplicates=0" in out
+        assert "rejected 0 BadFraming" in out
+
 
 class TestVerify:
     def test_payload_and_file_agree(self, election, capsys):
@@ -417,17 +433,19 @@ class TestTallyAuditGate:
         assert rc == 0
         assert "ballots_valid=1" in out
 
-    @pytest.mark.parametrize("bad_line", [
-        pytest.param(lambda log: b"REQ V\xff01 " + FIXTURE_ELECTION_ID.hex().encode()
-                     + b" 11 22\n", id="undecodable"),
-        pytest.param(lambda log: log.read_bytes(), id="duplicate_voter"),
+    @pytest.mark.parametrize("bad_log", [
+        pytest.param(lambda log: log + b"REQ V\xff01 "
+                     + FIXTURE_ELECTION_ID.hex().encode() + b" 11 22\n", id="undecodable"),
+        pytest.param(lambda log: log * 2, id="duplicate_voter"),
+        # Torn appends: the first cut fails no field check, the second
+        # leaves a signature of 32 bytes; both still parse as a REQ line.
+        pytest.param(lambda log: log[:-1], id="torn_newline"),
+        pytest.param(lambda log: log[:log.rindex(b" ") + 1 + 64], id="torn_signature"),
     ])
-    def test_undecodable_request_log_is_bad_framing(self, election, capsys, bad_line):
+    def test_undecodable_request_log_is_bad_framing(self, election, capsys, bad_log):
         self.cast(capsys, election, "V0001", 0, 21)
         log = election / "requests.log"
-        line = bad_line(log)
-        with log.open("ab") as f:
-            f.write(line)
+        log.write_bytes(bad_log(log.read_bytes()))
         before = log.read_bytes()
         box = (election / "ballotbox.txt").read_bytes()
         mailbox = election.parent / "mail.txt"
@@ -788,24 +806,48 @@ def test_readers_wait_for_a_commit_in_progress(election, capsys, argv):
     assert results == [0]
 
 
-def test_log_without_its_last_newline_takes_the_next_append(election, capsys):
-    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
-                   "--party", "0", "--seed", "21")
-    assert rc == 0
+@pytest.mark.parametrize("tear", [
+    pytest.param(lambda log: log[:-1], id="newline"),
+    pytest.param(lambda log: log[:log.rindex(b" ") + 1 + 64], id="signature"),
+])
+def test_torn_request_log_is_refused_until_truncated(election, capsys, tear):
+    # A kill inside V0001's commit left its line torn, so its ballot was never
+    # mailed. Whether or not the fragment parses, no command reads or extends
+    # the log until it is truncated after its last "\n"; then V0001 can vote.
+    def vote(voter_id, party, seed, *flags):
+        return run(capsys, "vote", "--dir", str(election), "--voter", voter_id,
+                   "--party", party, "--seed", seed, *flags)[0]
+
+    assert vote("V0001", "0", "21", "--no-mail") == 0
     log = election / "requests.log"
-    log.write_bytes(log.read_bytes()[:-1])
-    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
-                   "--party", "1", "--seed", "22")
-    assert rc == 0
+    log.write_bytes(tear(log.read_bytes()))
+    torn = log.read_bytes()
+    board = (election / "board.txt").read_bytes()
+    for argv in (
+        ["vote", "--dir", str(election), "--voter", "V0002", "--party", "1",
+         "--seed", "22"],
+        ["vote", "--dir", str(election), "--voter", "V0001", "--party", "0",
+         "--seed", "23"],
+        ["gate", "V0001", "--dir", str(election)],
+        ["gate", "V0002", "--dir", str(election), "--fail-open"],
+        ["tally", "--dir", str(election)],
+        ["audit", "--dir", str(election)],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith("ERR BadFraming:"), argv
+    assert log.read_bytes() == torn
+    assert (election / "ballotbox.txt").read_bytes() == b""
+    assert (election / "board.txt").read_bytes() == board
+    log.write_bytes(torn[:torn.rfind(b"\n") + 1])
+    assert vote("V0001", "0", "23") == 0
+    assert vote("V0002", "1", "22") == 0
     with log.open() as fh:
-        logged = read_request_log(fh)
-    assert [req.voter_id for req in logged] == ["V0001", "V0002"]
-    assert log.read_text() == "".join(format_request(req) + "\n" for req in logged)
-    for voter_id in ("V0001", "V0002"):
-        rc, out, _ = run(capsys, "gate", voter_id, "--dir", str(election))
-        assert (rc, out) == (3, f"BLOCK {voter_id} reason=AlreadyRequested\n")
-    assert run(capsys, "tally", "--dir", str(election))[0] == 0
-    assert run(capsys, "audit", "--dir", str(election))[0] == 0
+        assert [req.voter_id for req in read_request_log(fh)] == ["V0001", "V0002"]
+    rc, out, _ = run(capsys, "audit", "--dir", str(election))
+    assert rc == 0
+    assert out.splitlines()[1:4] == ["requests_total=2", "requests_valid=2",
+                                     "ballots_valid=2"]
 
 
 class TestBoardCommand:
