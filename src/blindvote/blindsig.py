@@ -39,10 +39,15 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
                     round 1
     verify_recover  s^e                    variable time (BN_mod_exp_mont)
 
-Each key gets one RSA handle on first use (n, e, d and, when the key has
-them, p, q and the CRT values), freed with the key; RSA_private_decrypt
+Every call runs on one libcrypto context per modulus: a BN_CTX, the
+Montgomery context for N and scratch BIGNUMs, into which each operand is
+written at the width of N and which are cleared after each call. A lock
+serialises its calls, since a BN_CTX is not thread-safe, and one
+finalizer frees it with the PublicKey. A BlindKeyPair signs on its public
+half's, which then also holds the key's RSA handle: RSA_private_decrypt
 with RSA_NO_PADDING runs the whole private operation, CRT and OpenSSL's
-own blinding included, and returns exactly b^d mod N.
+own blinding included, and returns exactly b^d mod N. keygen builds one
+context per candidate that reaches Miller-Rabin.
 
 The chain raises a secret value to the public e: into Montgomery form,
 then one BN_mod_mul_montgomery squaring for each bit of e after the
@@ -52,14 +57,13 @@ would treat e as a secret exponent, pad it to a 64-bit word and take
 about 90 multiplications. The sequence of operations depends on the
 public e alone, so the chain is constant time in the base, with the one
 caveat every BIGNUM here has: a value whose top limb is zero (probability
-about 2^-63) takes OpenSSL's generic multiplication path. It runs on the
-key's Montgomery context for N, built on first use and freed with the
-PublicKey (a BlindKeyPair's public half shares it); verify_recover's
-BN_mod_exp_mont uses the same context.
+about 2^-63) takes OpenSSL's generic multiplication path.
 
 The other constant-time calls are BN_mod_exp_mont_consttime and its
 two-exponentiation form BN_mod_exp_mont_consttime_x2, with
-BN_FLG_CONSTTIME set on every operand. BN_mod_inverse with that flag
+BN_FLG_CONSTTIME set on every operand, the modulus included; the
+variable-time BN_mod_exp_mont gets unflagged copies, since one flagged
+operand sends it down its constant-time path. BN_mod_inverse with that flag
 avoids branches on secret bits within each step, but its number of steps
 follows Euclid's algorithm on its input: in a dudect-style test on a
 2048-bit key, inverting r = 2^1000+1 took half the time of a random r
@@ -105,6 +109,7 @@ from __future__ import annotations
 import functools
 import random
 import sys
+import threading
 import weakref
 from dataclasses import dataclass, field
 from math import gcd
@@ -152,9 +157,9 @@ class PublicKey:
         return (self.n.bit_length() + 7) // 8
 
     def __getstate__(self) -> dict:
-        # A copy or an unpickled key builds its own Montgomery context: this
+        # A copy or an unpickled key builds its own libcrypto context: this
         # one is freed with self.
-        return {name: value for name, value in self.__dict__.items() if name != "_mont"}
+        return {name: value for name, value in self.__dict__.items() if name != "_ctx"}
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,7 @@ class BlindKeyPair:
     The public half and the CRT values d mod (p-1), d mod (q-1) and
     q^-1 mod p are derived once here; they take no part in equality, repr
     or the key file. Signing through libcrypto keeps the key's RSA handle
-    on it as `_rsa`, freed with the key; the fault check uses the public
-    half's Montgomery context.
+    in its public half's libcrypto context, which the fault check uses too.
     """
 
     n: int
@@ -192,11 +196,6 @@ class BlindKeyPair:
     @property
     def byte_length(self) -> int:
         return self.public.byte_length
-
-    def __getstate__(self) -> dict:
-        # A copy or an unpickled key builds its own RSA handle: this one is
-        # freed with self.
-        return {name: value for name, value in self.__dict__.items() if name != "_rsa"}
 
 
 # Tiny fixed keys for tests and demos. TOY_KEY has N = 11 * 23 = 253, the
@@ -252,16 +251,19 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
 
     # Round 1 runs alone, since most composites fail it; the other rounds
     # run two witnesses per exponentiation call, drawn in the same order.
-    if not passes(_secret_pow(rng.randrange(2, n - 1), d, n)):
+    # All of them share one libcrypto context for n.
+    lib = _libcrypto()
+    ctx = None if lib is None else _Context(lib, n)
+    if not passes(_secret_pow(rng.randrange(2, n - 1), d, n, ctx)):
         return False
     pairs, single = divmod(_MR_ROUNDS - 1, 2)
     for _ in range(pairs):
         a1 = rng.randrange(2, n - 1)
         a2 = rng.randrange(2, n - 1)
-        x1, x2 = _secret_pow_pair(a1, a2, d, n)
+        x1, x2 = _secret_pow_pair(a1, a2, d, n, ctx)
         if not (passes(x1) and passes(x2)):
             return False
-    return not single or passes(_secret_pow(rng.randrange(2, n - 1), d, n))
+    return not single or passes(_secret_pow(rng.randrange(2, n - 1), d, n, ctx))
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
@@ -368,10 +370,10 @@ def unblind(s_blinded: int, r: int, pub: PublicKey) -> int:
         if gcd(r, pub.n) != 1:
             raise FactorNotUnit("cannot unblind with a non-invertible factor")
         return s_blinded * pow(r, -1, pub.n) % pub.n
-    draw = random.SystemRandom()
+    ctx, draw = _context(lib, pub), random.SystemRandom()
     while True:
         u = draw.randrange(1, pub.n)
-        s = _unblind_with(lib, s_blinded, r, u, pub)
+        s = _unblind_with(lib, ctx, s_blinded, r, u)
         if s is not None:
             return s
         # r*u has no inverse, or BN_mod_inverse could not allocate.
@@ -426,6 +428,7 @@ def _libcrypto() -> ctypes.CDLL | None:
         for fname, restype, argtypes in (
             ("BN_CTX_new", ptr, []),
             ("BN_CTX_free", None, [ptr]),
+            ("BN_clear", None, [ptr]),
             ("BN_clear_free", None, [ptr]),
             ("BN_set_flags", None, [ptr, c_int]),
             ("BN_copy", ptr, [ptr, ptr]),
@@ -461,118 +464,107 @@ def backend() -> str:
     return "pow" if _libcrypto() is None else "libcrypto"
 
 
-def _bignum(lib: ctypes.CDLL, value: int, consttime: bool) -> int:
-    """A fresh BIGNUM holding value, flagged constant-time if `consttime`.
-    The caller frees it with BN_clear_free, or hands it to an RSA handle."""
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    bn = lib.BN_bin2bn(raw, len(raw), None)
-    if not bn:
-        raise MemoryError("libcrypto BN_bin2bn failed")
-    if consttime:
-        lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
-    return bn
+class _Context:
+    """libcrypto's state for one odd modulus n, as the module docstring
+    describes it. The secret calls run on `flagged` scratch and
+    `n_flagged`, which carry BN_FLG_CONSTTIME; BN_mod_exp_mont runs on
+    `plain` scratch and `n_plain`, which do not. The library comes with
+    each call, from _libcrypto(), and is not kept."""
 
+    def __init__(self, lib: ctypes.CDLL, n: int) -> None:
+        self.width = (n.bit_length() + 7) // 8
+        self.lock = threading.Lock()
+        self.rsa = 0
+        self._owned: list[tuple[Callable[[int], None], int]] = []
+        weakref.finalize(self, _release, self._owned)
+        self.bn_ctx = self._own(lib.BN_CTX_new(), lib.BN_CTX_free)
+        self.mont = self._own(lib.BN_MONT_CTX_new(), lib.BN_MONT_CTX_free)
+        *self.flagged, self.n_flagged = [self._new_bignum(lib, v, True) for v in (0,) * 5 + (n,)]
+        *self.plain, self.n_plain = [self._new_bignum(lib, v, False) for v in (0,) * 3 + (n,)]
+        if not lib.BN_MONT_CTX_set(self.mont, self.n_plain, self.bn_ctx):
+            raise MemoryError("libcrypto BN_MONT_CTX_set failed")
 
-def _bn_call(
-    lib: ctypes.CDLL,
-    fn: Callable[..., int],
-    values: tuple[int, ...],
-    consttime: bool,
-    *tail,
-    results: int = 1,
-) -> list[int]:
-    """Run fn(*r, *values, ctx, *tail) on fresh BIGNUMs, each flagged
-    constant-time unless `consttime` is false, where r are `results`
-    BIGNUMs for the outputs, and return their values, each of which fits
-    the width of the last value, the modulus. Every BIGNUM is cleared
-    before it is freed. A BN_CTX is not thread-safe, so each call gets its
-    own."""
-    import ctypes
+    def _own(self, ptr: int | None, free: Callable[[int], None]) -> int:
+        if not ptr:
+            raise MemoryError("libcrypto could not allocate")
+        self._owned.append((free, ptr))
+        return ptr
 
-    ctx = lib.BN_CTX_new()
-    nums: list[int] = []
-    try:
-        if not ctx:
-            raise MemoryError("libcrypto BN_CTX_new failed")
-        for value in (0,) * results + values:
-            nums.append(_bignum(lib, value, consttime))
-        if not fn(*nums, ctx, *tail):
-            raise MemoryError(f"libcrypto {fn.__name__} failed")
-        width = (values[-1].bit_length() + 7) // 8
-        out = ctypes.create_string_buffer(width)
-        found = []
-        for bn in nums[:results]:
-            if lib.BN_bn2binpad(bn, out, width) != width:
-                raise MemoryError("libcrypto BN_bn2binpad failed")
-            found.append(int.from_bytes(out.raw, "big"))
-        return found
-    finally:
-        for bn in nums:
-            lib.BN_clear_free(bn)
-        lib.BN_CTX_free(ctx)
+    def _write(self, lib: ctypes.CDLL, value: int, bn: int | None = None) -> int:
+        """bn, or a new BIGNUM, set to value written at the width of n, or
+        at its own for a public exponent wider than n."""
+        raw = value.to_bytes(max(self.width, (value.bit_length() + 7) // 8), "big")
+        bn = lib.BN_bin2bn(raw, len(raw), bn)
+        if not bn:
+            raise MemoryError("libcrypto BN_bin2bn failed")
+        return bn
 
+    def _new_bignum(self, lib: ctypes.CDLL, value: int, consttime: bool) -> int:
+        bn = self._own(self._write(lib, value), lib.BN_clear_free)
+        if consttime:
+            lib.BN_set_flags(bn, _BN_FLG_CONSTTIME)
+        return bn
 
-def _held(
-    owner: object,
-    attr: str,
-    new: Callable[[], int],
-    free: Callable[[int], None],
-    fill: Callable[[int], None],
-) -> int:
-    """owner's libcrypto object `attr`, built on first use: new() makes it,
-    fill(obj) sets it up and free(obj) runs when owner is collected."""
-    obj = owner.__dict__.get(attr)
-    if obj is not None:
-        return obj
-    obj = new()
-    if not obj:
-        raise MemoryError(f"libcrypto {new.__name__} failed")
-    weakref.finalize(owner, free, obj)
-    fill(obj)
-    object.__setattr__(owner, attr, obj)
-    return obj
+    def call(
+        self, lib: ctypes.CDLL, fn: Callable[..., int], nums: list[int], values: tuple[int, ...]
+    ) -> list[int]:
+        """Under the lock, write `values` into the last of the scratch
+        BIGNUMs `nums`, one each, run fn(*nums) and return the values of
+        the others, its outputs; then clear them all."""
+        import ctypes
 
-
-def _rsa_handle(lib: ctypes.CDLL, key: BlindKeyPair) -> int:
-    """The key's RSA handle: n, e, d and, when the key has p and q, the
-    factors and CRT values. RSA_free clears and frees them with the key."""
-    parts = [(lib.RSA_set0_key, (key.n, key.e, key.d))]
-    if key.p is not None and key.q is not None:
-        parts.append((lib.RSA_set0_factors, (key.p, key.q)))
-        parts.append((lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)))
-
-    def fill(rsa: int) -> None:
-        for set0, values in parts:
-            # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and the
-            # CRT values itself, and blinds each private operation.
-            nums: list[int] = []
+        outputs = len(nums) - len(values)
+        with self.lock:
             try:
-                for value in values:
-                    nums.append(_bignum(lib, value, consttime=False))
-                if not set0(rsa, *nums):
-                    raise MemoryError(f"libcrypto {set0.__name__} failed")
-                nums = []  # the handle owns them now
+                for bn, value in zip(nums[outputs:], values):
+                    self._write(lib, value, bn)
+                if not fn(*nums):
+                    raise MemoryError(f"libcrypto {fn.__name__} failed")
+                out = ctypes.create_string_buffer(self.width)
+                found = []
+                for bn in nums[:outputs]:
+                    if lib.BN_bn2binpad(bn, out, self.width) != self.width:
+                        raise MemoryError("libcrypto BN_bn2binpad failed")
+                    found.append(int.from_bytes(out.raw, "big"))
+                return found
             finally:
                 for bn in nums:
-                    lib.BN_clear_free(bn)
+                    lib.BN_clear(bn)
 
-    return _held(key, "_rsa", lib.RSA_new, lib.RSA_free, fill)
+    def rsa_handle(self, lib: ctypes.CDLL, key: BlindKeyPair) -> int:
+        """The key's RSA handle, built on first use: n, e, d and, when the
+        key has p and q, the factors and CRT values."""
+        with self.lock:
+            if self.rsa:
+                return self.rsa
+            rsa = self._own(lib.RSA_new(), lib.RSA_free)
+            parts = [(lib.RSA_set0_key, (key.n, key.e, key.d))]
+            if key.p is not None and key.q is not None:
+                parts.append((lib.RSA_set0_factors, (key.p, key.q)))
+                parts.append((lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)))
+            for set0, values in parts:
+                # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and
+                # the CRT values itself, and blinds each private operation.
+                nums = [self._own(self._write(lib, v), lib.BN_clear_free) for v in values]
+                if not set0(rsa, *nums):
+                    raise MemoryError(f"libcrypto {set0.__name__} failed")
+                del self._owned[-len(nums) :]  # the handle owns them now
+            self.rsa = rsa
+            return rsa
 
 
-def _mont_ctx(lib: ctypes.CDLL, pub: PublicKey) -> int:
-    """The key's Montgomery context for n, which holds its own copy of n."""
+def _release(owned: list[tuple[Callable[[int], None], int]]) -> None:
+    for free, ptr in reversed(owned):
+        free(ptr)
 
-    def fill(mont: int) -> None:
-        n = _bignum(lib, pub.n, consttime=False)
-        ctx = lib.BN_CTX_new()
-        try:
-            if not (ctx and lib.BN_MONT_CTX_set(mont, n, ctx)):
-                raise MemoryError("libcrypto BN_MONT_CTX_set failed")
-        finally:
-            lib.BN_CTX_free(ctx)
-            lib.BN_clear_free(n)
 
-    return _held(pub, "_mont", lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_free, fill)
+def _context(lib: ctypes.CDLL, pub: PublicKey) -> _Context:
+    """pub's context, built on first use and freed with pub."""
+    ctx = pub.__dict__.get("_ctx")
+    if ctx is None:
+        ctx = _Context(lib, pub.n)
+        object.__setattr__(pub, "_ctx", ctx)
+    return ctx
 
 
 def _private_pow(b: int, key: BlindKeyPair) -> int:
@@ -585,99 +577,103 @@ def _private_pow(b: int, key: BlindKeyPair) -> int:
 
     k = key.byte_length
     out = ctypes.create_string_buffer(k)
-    rsa = _rsa_handle(lib, key)
+    ctx = _context(lib, key.public)  # holds the handle until the call returns
+    rsa = ctx.rsa_handle(lib, key)
     if lib.RSA_private_decrypt(k, b.to_bytes(k, "big"), out, rsa, _RSA_NO_PADDING) != k:
         raise SigningFault("libcrypto's private-key operation failed; nothing was released")
     return int.from_bytes(out.raw, "big")
 
 
-def _secret_pow(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod, for an odd mod, in constant time, when any operand
-    is secret."""
-    lib = _libcrypto()
-    if lib is None:
+def _secret_pow(base: int, exp: int, mod: int, ctx: _Context | None) -> int:
+    """base^exp mod mod, for an odd mod, in constant time on ctx, mod's
+    context, when any operand is secret; pow where libcrypto cannot load."""
+    if ctx is None:
         return pow(base, exp, mod)
-    return _bn_call(lib, lib.BN_mod_exp_mont_consttime, (base, exp, mod), True, None)[0]
+    lib = _libcrypto()
+
+    def mod_exp(r: int, a: int, p: int) -> int:
+        return lib.BN_mod_exp_mont_consttime(r, a, p, ctx.n_flagged, ctx.bn_ctx, ctx.mont)
+
+    return ctx.call(lib, mod_exp, ctx.flagged[:3], (base, exp))[0]
 
 
 def _secret_pow_e(x: int, pub: PublicKey) -> int:
     """x^e mod n for a secret x in [0, n): the chain described at the top of
     this module, left to right over the bits of e after the leading one (no
-    step for e = 1), on the key's Montgomery context. Constant time in x
-    but for a value whose top limb is zero (probability about 2^-63), which
-    takes OpenSSL's generic multiplication path. pow where libcrypto
-    cannot load."""
+    step for e = 1). pow where libcrypto cannot load."""
     lib = _libcrypto()
     if lib is None:
         return pow(x, pub.e, pub.n)
-    mul = lib.BN_mod_mul_montgomery
+    ctx = _context(lib, pub)
+    mul, mont, bn_ctx = lib.BN_mod_mul_montgomery, ctx.mont, ctx.bn_ctx
     bits = bin(pub.e)[3:]
 
-    def chain(acc: int, base: int, _n: int, ctx: int, mont: int) -> int:
-        # _n, the modulus, only sets the output width: mont has its own.
-        if not (lib.BN_to_montgomery(base, base, mont, ctx) and lib.BN_copy(acc, base)):
+    def chain(acc: int, base: int) -> int:
+        if not (lib.BN_to_montgomery(base, base, mont, bn_ctx) and lib.BN_copy(acc, base)):
             return 0
         for bit in bits:
-            if not mul(acc, acc, acc, mont, ctx):
+            if not mul(acc, acc, acc, mont, bn_ctx):
                 return 0
-            if bit == "1" and not mul(acc, acc, base, mont, ctx):
+            if bit == "1" and not mul(acc, acc, base, mont, bn_ctx):
                 return 0
-        return lib.BN_from_montgomery(acc, acc, mont, ctx)
+        return lib.BN_from_montgomery(acc, acc, mont, bn_ctx)
 
-    return _bn_call(lib, chain, (x, pub.n), True, _mont_ctx(lib, pub))[0]
+    return ctx.call(lib, chain, ctx.flagged[:2], (x,))[0]
 
 
-def _secret_pow_pair(a1: int, a2: int, exp: int, mod: int) -> tuple[int, int]:
-    """(a1^exp mod mod, a2^exp mod mod) for a1, a2 in [0, mod) and an odd
-    mod, in constant time: one BN_mod_exp_mont_consttime_x2 call, which runs
-    both exponentiations in one AVX-512 IFMA pass where the CPU has it and
-    the operands are 1024 bits wide, and one after the other otherwise."""
-    lib = _libcrypto()
-    if lib is None:
+def _secret_pow_pair(
+    a1: int, a2: int, exp: int, mod: int, ctx: _Context | None
+) -> tuple[int, int]:
+    """_secret_pow for two bases a1, a2: one BN_mod_exp_mont_consttime_x2
+    call, which runs both exponentiations in one AVX-512 IFMA pass where
+    the CPU has it and the operands are 1024 bits wide, and one after the
+    other otherwise."""
+    if ctx is None:
         return pow(a1, exp, mod), pow(a2, exp, mod)
+    lib = _libcrypto()
+    m, mont = ctx.n_flagged, ctx.mont
 
-    def mod_exp_x2(r1: int, r2: int, b1: int, b2: int, p: int, m: int, ctx: int) -> int:
-        return lib.BN_mod_exp_mont_consttime_x2(r1, b1, p, m, None, r2, b2, p, m, None, ctx)
+    def mod_exp_x2(r1: int, r2: int, b1: int, b2: int, p: int) -> int:
+        return lib.BN_mod_exp_mont_consttime_x2(r1, b1, p, m, mont, r2, b2, p, m, mont, ctx.bn_ctx)
 
-    x1, x2 = _bn_call(lib, mod_exp_x2, (a1, a2, exp, mod), True, results=2)
+    x1, x2 = ctx.call(lib, mod_exp_x2, ctx.flagged[:5], (a1, a2, exp))
     return x1, x2
 
 
 def _public_pow(s: int, pub: PublicKey) -> int:
     """s^e mod n for s in [0, n), in variable time, for a public s: a
-    signature. BN_mod_exp_mont on the key's Montgomery context."""
+    signature. BN_mod_exp_mont on the key's context, on unflagged BIGNUMs."""
     lib = _libcrypto()
     if lib is None:
         return pow(s, pub.e, pub.n)
-    return _bn_call(lib, lib.BN_mod_exp_mont, (s, pub.e, pub.n), False, _mont_ctx(lib, pub))[0]
+    ctx = _context(lib, pub)
+
+    def mod_exp(r: int, a: int, p: int) -> int:
+        return lib.BN_mod_exp_mont(r, a, p, ctx.n_plain, ctx.bn_ctx, ctx.mont)
+
+    return ctx.call(lib, mod_exp, ctx.plain[:3], (s, pub.e))[0]
 
 
-def _unblind_with(
-    lib: ctypes.CDLL, s_blinded: int, r: int, u: int, pub: PublicKey
-) -> int | None:
+def _unblind_with(lib: ctypes.CDLL, ctx: _Context, s_blinded: int, r: int, u: int) -> int | None:
     """s_blinded * r^-1 mod n for r, u in [1, n), in one libcrypto pass on
-    the key's Montgomery context, where MM(a, b) = a*b/R: the inverse sees
-    t = r*u/R^2, never r, and MM(MM(s_blinded, u), t^-1) = s_blinded/r.
-    None when t has no inverse."""
-    mul = lib.BN_mod_mul_montgomery
-    no_inverse = False
+    the key's context, where MM(a, b) = a*b/R: the inverse sees t =
+    r*u/R^2, never r, and MM(MM(s_blinded, u), t^-1) = s_blinded/r. None
+    when t has no inverse."""
+    mul, from_mont = lib.BN_mod_mul_montgomery, lib.BN_from_montgomery
+    mont, bn_ctx, inverted = ctx.mont, ctx.bn_ctx, False
 
-    def step(out: int, s_b: int, r_bn: int, u_bn: int, n: int, ctx: int, mont: int) -> int:
-        nonlocal no_inverse
-        if not (mul(out, r_bn, u_bn, mont, ctx) and lib.BN_from_montgomery(out, out, mont, ctx)):
+    def step(out: int, s_b: int, r_bn: int, u_bn: int) -> int:
+        nonlocal inverted
+        if not (mul(out, r_bn, u_bn, mont, bn_ctx) and from_mont(out, out, mont, bn_ctx)):
             return 0
         # t^-1 overwrites r, which the step no longer needs.
-        if not lib.BN_mod_inverse(r_bn, out, n, ctx):
-            no_inverse = True
-            return 0
-        return mul(out, s_b, u_bn, mont, ctx) and mul(out, out, r_bn, mont, ctx)
+        inverted = bool(lib.BN_mod_inverse(r_bn, out, ctx.n_flagged, bn_ctx))
+        if not inverted:
+            return 1  # the step ends here, and its output is dropped
+        return mul(out, s_b, u_bn, mont, bn_ctx) and mul(out, out, r_bn, mont, bn_ctx)
 
-    try:
-        return _bn_call(lib, step, (s_blinded, r, u, pub.n), True, _mont_ctx(lib, pub))[0]
-    except MemoryError:
-        if no_inverse:
-            return None
-        raise
+    s = ctx.call(lib, step, ctx.flagged[:4], (s_blinded, r, u))[0]
+    return s if inverted else None
 
 
 def _dump_key_lines(fields: dict[str, int]) -> str:

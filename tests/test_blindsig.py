@@ -10,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from math import gcd
 
 import pytest
@@ -279,15 +280,17 @@ class TestPrimeSearch:
     @pytest.mark.parametrize("mod", ["p2048", 253, 3233, 4999])
     def test_secret_pow_pair_equals_two_pows(self, key2048, mod):
         mod = key2048.p if mod == "p2048" else mod
+        lib = blindsig._libcrypto()
+        ctx = None if lib is None else blindsig._Context(lib, mod)
         rng = random.Random(mod)
         exps = [(mod - 1) >> 1, rng.randrange(mod), 0, 1]
         for exp in exps:
             for _ in range(4):
                 a1, a2 = rng.randrange(mod), rng.randrange(mod)
-                assert blindsig._secret_pow_pair(a1, a2, exp, mod) == (
+                assert blindsig._secret_pow_pair(a1, a2, exp, mod, ctx) == (
                     pow(a1, exp, mod), pow(a2, exp, mod)
                 )
-        assert blindsig._secret_pow_pair(0, mod - 1, exps[0], mod) == (
+        assert blindsig._secret_pow_pair(0, mod - 1, exps[0], mod, ctx) == (
             0, pow(mod - 1, exps[0], mod)
         )
 
@@ -357,7 +360,7 @@ class TestSignBlinded:
 
 
 def fresh_classic_key() -> BlindKeyPair:
-    """CLASSIC_TOY_KEY as a new object, so its RSA handle is its own."""
+    """CLASSIC_TOY_KEY as a new object, so its libcrypto context is its own."""
     return BlindKeyPair(n=3233, e=17, d=2753, p=61, q=53)
 
 
@@ -381,9 +384,9 @@ class TestRsaHandle:
         secret_calls, pow_calls = [], []
         exact, exact_e = blindsig._secret_pow, blindsig._secret_pow_e
 
-        def spy(base: int, exp: int, mod: int) -> int:
+        def spy(base: int, exp: int, mod: int, ctx: blindsig._Context | None) -> int:
             secret_calls.append((base, exp, mod))
-            return exact(base, exp, mod)
+            return exact(base, exp, mod, ctx)
 
         def spy_e(base: int, pub: PublicKey) -> int:
             secret_calls.append((base, pub.e, pub.n))
@@ -408,8 +411,9 @@ class TestRsaHandle:
         monkeypatch.setattr(lib, "RSA_free", lambda rsa: (freed.append(rsa), rsa_free(rsa)))
         key = fresh_classic_key()
         assert sign_blinded(65, key) == SIGN_65
-        assert sign_blinded(65, key) == SIGN_65  # one handle per key, not per call
-        rsa = key._rsa
+        rsa = key.public._ctx.rsa
+        assert sign_blinded(65, key) == SIGN_65
+        assert key.public._ctx.rsa == rsa  # one handle per key, not per call
         del key
         gc.collect()
         assert freed == [rsa]
@@ -475,11 +479,13 @@ class TestMontgomeryChain:
         )
         key = fresh_classic_key()
         assert sign_blinded(65, key) == SIGN_65
-        mont = key.public._mont
+        ctx = key.public._ctx  # the key signs on its public half's context
+        assert ctx.rsa
+        mont = ctx.mont
         assert blind(65, 7, key.public) == BLIND_65_R7
         assert verify_recover(SIGN_65, key.public) == 65
-        assert key.public._mont == mont  # one context per key, not per call
-        del key
+        assert key.public._ctx is ctx  # one context per key, not per call
+        del key, ctx
         gc.collect()
         assert freed == [mont]
 
@@ -487,12 +493,113 @@ class TestMontgomeryChain:
         pub = fresh_classic_key().public
         assert blind(65, 7, pub) == BLIND_65_R7
         twin, clone = copy.copy(pub), pickle.loads(pickle.dumps(pub))
-        assert "_mont" not in twin.__dict__ and "_mont" not in clone.__dict__
+        assert "_ctx" in pub.__dict__
+        assert "_ctx" not in twin.__dict__ and "_ctx" not in clone.__dict__
         assert twin == clone == pub == PublicKey(n=3233, e=17)
         assert repr(pub) == "PublicKey(n=3233, e=17)"
         del pub
         gc.collect()
         assert blind(65, 7, twin) == blind(65, 7, clone) == BLIND_65_R7
+
+
+class TestContext:
+    """The one libcrypto context per modulus: flags, widths and threads."""
+
+    @needs_libcrypto
+    def test_secret_operands_flagged_and_verify_operands_not(self, key512, monkeypatch):
+        # BN_mod_exp_mont takes its constant-time path when any operand
+        # carries the flag, at several times the cost; BN_mod_inverse takes
+        # its branching path when its operands do not.
+        lib = blindsig._libcrypto()
+        get_flags = ctypes.CDLL(lib._name).BN_get_flags
+        get_flags.restype, get_flags.argtypes = ctypes.c_int, [ctypes.c_void_p, ctypes.c_int]
+        bignum_args = {
+            "BN_mod_inverse": (0, 1, 2),
+            "BN_mod_exp_mont_consttime": (0, 1, 2, 3),
+            "BN_mod_exp_mont_consttime_x2": (0, 1, 2, 3, 5, 6, 7, 8),
+            "BN_mod_mul_montgomery": (0, 1, 2),
+            "BN_mod_exp_mont": (0, 1, 2, 3),
+        }
+        flags: dict[str, set[bool]] = {name: set() for name in bignum_args}
+        for name, positions in bignum_args.items():
+            real = getattr(lib, name)
+
+            def spy(*args, name=name, positions=positions, real=real):
+                flags[name].update(bool(get_flags(args[i], 0x04)) for i in positions)
+                return real(*args)
+
+            monkeypatch.setattr(lib, name, spy)
+        pub = key512.public
+        r = random_unit(key512.n, random.Random(7))
+        s = unblind(sign_blinded(blind(1234567, r, pub), key512), r, pub)
+        assert verify_recover(s, pub) == 1234567
+        keygen(256, random.Random(5))
+        assert flags == {
+            "BN_mod_inverse": {True},
+            "BN_mod_exp_mont_consttime": {True},
+            "BN_mod_exp_mont_consttime_x2": {True},
+            "BN_mod_mul_montgomery": {True},
+            "BN_mod_exp_mont": {False},
+        }
+
+    @needs_libcrypto
+    def test_every_operand_enters_at_the_modulus_width(self, key512, monkeypatch):
+        lib = blindsig._libcrypto()
+        pub, n = key512.public, key512.n
+        m, r = 1234567, 3  # short values, written at the width of n all the same
+        b = blind(m, r, pub)
+        s_b = sign_blinded(b, key512)  # builds the context and the RSA handle
+        widths: list[int] = []
+        real = lib.BN_bin2bn
+        monkeypatch.setattr(
+            lib, "BN_bin2bn", lambda raw, size, bn: (widths.append(size), real(raw, size, bn))[1]
+        )
+        steps = {
+            "blind": lambda: blind(m, r, pub) == b,
+            "the fault check": lambda: blindsig._secret_pow_e(s_b, pub) == b,
+            "unblind": lambda: unblind(s_b, r, pub) == pow(m, key512.d, n),
+            "verify_recover": lambda: verify_recover(pow(m, key512.d, n), pub) == m,
+        }
+        for step, run in steps.items():
+            widths.clear()
+            assert run(), step
+            assert widths and set(widths) == {pub.byte_length}, step
+
+    def test_threads_on_one_key(self, key512):
+        # A fresh key object, so that its context is built under the race
+        # too. Without the context's lock the threads share one BN_CTX and
+        # its scratch BIGNUMs and corrupt each other's operands.
+        key = BlindKeyPair(n=key512.n, e=key512.e, d=key512.d, p=key512.p, q=key512.q)
+        pub, n, e, d = key.public, key.n, key.e, key.d
+        errors: list[BaseException] = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    m, r = rng.randrange(n), random_unit(n, rng)
+                    b = blind(m, r, pub)
+                    assert b == m * pow(r, e, n) % n
+                    s_b = sign_blinded(b, key)
+                    assert s_b == pow(b, d, n)
+                    s = unblind(s_b, r, pub)
+                    assert s == pow(m, d, n)
+                    assert verify_recover(s, pub) == m
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestSecretArithmetic:
