@@ -164,7 +164,7 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class BlindKeyPair:
-    """Full signing key. p and q, when present, enable CRT signing.
+    """Full signing key, with the factors p and q of n, which are required.
 
     The public half and the CRT values d mod (p-1), d mod (q-1) and
     q^-1 mod p are derived once here; they take no part in equality, repr
@@ -175,21 +175,19 @@ class BlindKeyPair:
     n: int
     e: int
     d: int
-    p: int | None = None
-    q: int | None = None
-    dp: int | None = field(init=False, repr=False, compare=False)
-    dq: int | None = field(init=False, repr=False, compare=False)
-    qinv: int | None = field(init=False, repr=False, compare=False)
+    p: int
+    q: int
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
     public: PublicKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "public", PublicKey(n=self.n, e=self.e))  # checks n and e
-        crt = None, None, None
-        if self.p is not None and self.q is not None:
-            if min(self.p, self.q) < 2:
-                raise ValueError("p and q must be at least 2")
-            # pow raises ValueError when p and q share a factor.
-            crt = self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
+        if min(self.p, self.q) < 2:
+            raise ValueError("p and q must be at least 2")
+        # pow raises ValueError when p and q share a factor.
+        crt = self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
         for name, value in zip(("dp", "dq", "qinv"), crt):
             object.__setattr__(self, name, value)
 
@@ -532,17 +530,17 @@ class _Context:
                     lib.BN_clear(bn)
 
     def rsa_handle(self, lib: ctypes.CDLL, key: BlindKeyPair) -> int:
-        """The key's RSA handle, built on first use: n, e, d and, when the
-        key has p and q, the factors and CRT values."""
+        """The key's RSA handle, built on first use: n, e, d, the factors p
+        and q, which every key carries, and the CRT values."""
         with self.lock:
             if self.rsa:
                 return self.rsa
             rsa = self._own(lib.RSA_new(), lib.RSA_free)
-            parts = [(lib.RSA_set0_key, (key.n, key.e, key.d))]
-            if key.p is not None and key.q is not None:
-                parts.append((lib.RSA_set0_factors, (key.p, key.q)))
-                parts.append((lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)))
-            for set0, values in parts:
+            for set0, values in (
+                (lib.RSA_set0_key, (key.n, key.e, key.d)),
+                (lib.RSA_set0_factors, (key.p, key.q)),
+                (lib.RSA_set0_crt_params, (key.dp, key.dq, key.qinv)),
+            ):
                 # libcrypto's RSA code sets BN_FLG_CONSTTIME on d, p, q and
                 # the CRT values itself, and blinds each private operation.
                 nums = [self._own(self._write(lib, v), lib.BN_clear_free) for v in values]
@@ -685,11 +683,7 @@ def save_public_key(pub: PublicKey, out: TextIO) -> None:
 
 
 def save_keypair(key: BlindKeyPair, out: TextIO) -> None:
-    fields = {"N": key.n, "e": key.e, "d": key.d}
-    if key.p is not None and key.q is not None:
-        fields["p"] = key.p
-        fields["q"] = key.q
-    out.write(_dump_key_lines(fields))
+    out.write(_dump_key_lines({"N": key.n, "e": key.e, "d": key.d, "p": key.p, "q": key.q}))
 
 
 def _parse_key_fields(src: TextIO, required: tuple[str, ...], what: str) -> dict[str, int]:
@@ -721,19 +715,13 @@ def load_public_key(src: TextIO) -> PublicKey:
 
 
 def load_keypair(src: TextIO) -> BlindKeyPair:
-    fields = _parse_key_fields(src, ("N", "e", "d"), "key file")
+    fields = _parse_key_fields(src, ("N", "e", "d", "p", "q"), "key file")
     try:
         key = BlindKeyPair(
-            n=fields["N"],
-            e=fields["e"],
-            d=fields["d"],
-            p=fields.get("p"),
-            q=fields.get("q"),
+            n=fields["N"], e=fields["e"], d=fields["d"], p=fields["p"], q=fields["q"]
         )
     except ValueError as exc:
         raise ParseError(f"unusable key: {exc}") from None
-    if (key.p is None) != (key.q is None):
-        raise ParseError("key file must carry both p and q or neither")
-    if key.p is not None and key.q is not None and key.p * key.q != key.n:
+    if key.p * key.q != key.n:
         raise ParseError("p * q does not match N")
     return key

@@ -24,6 +24,7 @@ import base64
 import contextlib
 import fcntl
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -113,10 +114,11 @@ class BulletinBoard:
     A publication is one batch: it holds an exclusive flock on the file,
     replays and verifies the chain once, chains its records in memory and
     writes them all on a clean exit. An exception inside the batch writes
-    nothing. Writers in any thread or process, through any number of
-    BulletinBoard objects on the same path, therefore never both write seq
-    n. Do not append to the same path inside a batch: a second flock, on a
-    second descriptor, waits for the first forever.
+    nothing, and a write that fails part way is cut back off. Writers in
+    any thread or process, through any number of BulletinBoard objects on
+    the same path, therefore never both write seq n. Do not append to the
+    same path inside a batch: a second flock, on a second descriptor, waits
+    for the first forever.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -126,14 +128,23 @@ class BulletinBoard:
     def batch(self) -> Iterator[BoardBatch]:
         """Raises ChainBroken if the board is corrupt. An OSError propagates
         unchanged; the CLI prints it as IoFailure, as for every other file."""
-        with self.path.open("a", encoding="ascii") as fh:
+        with self.path.open("ab", buffering=0) as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
             records, broken = _replay(self.path)
             if broken is not None:
                 raise ChainBroken(broken)
             batch = BoardBatch(records)
             yield batch
-            fh.write("".join(rec.line + "\n" for rec in batch.added))
+            size = os.fstat(fh.fileno()).st_size
+            data = memoryview("".join(rec.line + "\n" for rec in batch.added).encode("ascii"))
+            try:
+                while data:  # an unbuffered write may take only part of data
+                    data = data[fh.write(data) :]
+            except BaseException:
+                # Still locked: cut off the part that was written, so the
+                # board is left as it was and no torn tail breaks its chain.
+                fh.truncate(size)
+                raise
 
     def append(self, kind: str, payload: bytes) -> BoardRecord:
         with self.batch() as batch:

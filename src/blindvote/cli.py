@@ -15,7 +15,8 @@ Every subcommand reads and writes only these files. Randomized steps take
 --seed so a scripted run is reproducible byte for byte. `vote` and
 `authority` flock the directory exclusively from loading requests.log to
 the fsync of the lines they append; `gate`, `tally` and `audit` read the log
-under a shared flock, so they never see part of an append.
+under a shared flock, so they never see part of an append. `board verify`
+holds a shared flock on board.txt, so it counts only what it verified.
 `vote` and `gate` parse only the lines of credentials.txt and registry.txt
 that contain their voter's id, so a fault in another voter's line does not
 stop them; `authority`, `tally` and `audit` parse every line.
@@ -184,17 +185,19 @@ def cmd_setup(args: argparse.Namespace) -> int:
                  d.requests, d.ballotbox, d.board):
         if path.exists():
             raise FileExistsError(f"{path} exists: {d.root} already holds an election")
+    # The slow and interruptible steps come first, so that a setup stopped
+    # inside them leaves nothing that blocks the next one.
+    key = blindsig.keygen(args.bits, rng)
+    issuer = CredentialIssuer(rng)
+    creds = [issuer.issue(f"V{i:04d}") for i in range(1, args.voters + 1)]
     d.root.mkdir(parents=True, exist_ok=True)
     d.ballots.mkdir(exist_ok=True)
     d.notes.mkdir(exist_ok=True)
     save_config(config, d.config)
-    key = blindsig.keygen(args.bits, rng)
     with d.key.open("w") as fh:
         blindsig.save_keypair(key, fh)
     with d.pub.open("w") as fh:
         blindsig.save_public_key(key.public, fh)
-    issuer = CredentialIssuer(rng)
-    creds = [issuer.issue(f"V{i:04d}") for i in range(1, args.voters + 1)]
     with d.registry.open("w") as fh:
         save_registry(issuer.registry, fh)
     with d.credentials.open("w") as fh:
@@ -324,18 +327,24 @@ def cmd_legacy_sim(args: argparse.Namespace) -> int:
 
 def cmd_board_verify(args: argparse.Namespace) -> int:
     path = Path(args.board) if args.board else _Dir(args.dir).board
-    broken = board_mod.board_verify(path)
-    if broken is None:
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        print("OK records=0")  # nothing published yet
+        return EXIT_OK
+    with fh:
+        # BulletinBoard.batch writes under LOCK_EX, so no record lands
+        # between the replay and the count.
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        broken = board_mod.board_verify(path)
+        if broken is not None:
+            print(f"ERR ChainBroken: first broken record seq={broken}", file=sys.stderr)
+            return EXIT_ERROR
         # A board that verifies is exactly its records' lines, each ended
         # by "\n", so counting the terminators counts the records.
-        try:
-            count = path.read_bytes().count(b"\n")
-        except FileNotFoundError:
-            count = 0  # board_verify reads a missing board as empty
-        print(f"OK records={count}")
-        return EXIT_OK
-    print(f"ERR ChainBroken: first broken record seq={broken}", file=sys.stderr)
-    return EXIT_ERROR
+        count = fh.read().count(b"\n")
+    print(f"OK records={count}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

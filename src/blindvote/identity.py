@@ -44,7 +44,7 @@ import functools
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .election import record_line
 from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
@@ -288,45 +288,30 @@ def _load_keyed_hex(src: TextIO, keyword: str, voter_id: str | None) -> dict[str
     """Read `<keyword> <voter_id> <hex of _KEY_LEN bytes>` lines, ids unique.
 
     With a voter_id, only that voter's entry, if any: the text is decoded
-    whole, but only the lines that contain the id are parsed, so the cost
-    does not grow with other voters' lines and their faults go unseen. A
+    whole, but only the lines that contain the id are parsed, so each other
+    voter's line costs one substring test and its faults go unseen. A
     malformed line that contains the id, or a second line for it, is still
     a ParseError."""
-    if voter_id is None:
-        lines: Iterator[tuple[int, str]] = enumerate(src, start=1)
-    else:
-        lines = _lines_containing(src, voter_id)
-    values: dict[str, bytes] = {}
     try:
-        for lineno, raw in lines:
-            entry = _keyed_line(lineno, raw, keyword)
-            if entry is None:
-                continue
-            found, value = entry
-            if voter_id is not None and found != voter_id:
-                continue  # another voter's line that contains the id
-            if found in values:
-                raise ParseError(f"line {lineno}: duplicate voter {found!r}")
-            values[found] = value
+        text = src.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None
+    values: dict[str, bytes] = {}
+    # Split as iterating the file would: the last "\n" ends a line, not
+    # starts one.
+    for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), start=1):
+        if voter_id is not None and voter_id not in raw:
+            continue
+        entry = _keyed_line(lineno, raw, keyword)
+        if entry is None:
+            continue
+        found, value = entry
+        if voter_id is not None and found != voter_id:
+            continue  # another voter's line that contains the id
+        if found in values:
+            raise ParseError(f"line {lineno}: duplicate voter {found!r}")
+        values[found] = value
     return values
-
-
-def _lines_containing(src: TextIO, needle: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line of src that contains needle, found
-    with str.find on the whole text; each line is yielded once."""
-    text = src.read()
-    lineno, counted, pos = 1, 0, text.find(needle)
-    while pos != -1:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        if end == -1:
-            end = len(text)
-        lineno += text.count("\n", counted, start)
-        counted = start
-        yield lineno, text[start:end]
-        pos = text.find(needle, end + 1)
 
 
 def load_registry(src: TextIO, voter_id: str | None = None) -> dict[str, bytes]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import errno
 import hashlib
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -336,4 +339,38 @@ def test_exception_inside_batch_writes_nothing(tmp_path):
     assert path.read_bytes() == before
     # The lock went with the batch: the next append goes through.
     assert board.append("META", b"after").seq == 3
+    assert board_verify(path) is None
+
+
+# Run in a child process whose file size limit stops the batch's write part
+# way: the kernel writes what fits, returns a short count, then refuses the
+# rest with EFBIG.
+_SIZE_LIMITED_BATCH = """
+import resource, signal, sys
+sys.path.insert(0, sys.argv[1])
+from blindvote.board import BulletinBoard
+path, limit = sys.argv[2], int(sys.argv[3])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    with BulletinBoard(path).batch() as batch:
+        for i in range(3):
+            batch.append("TALLY", bytes(100))
+except OSError as exc:
+    sys.exit(exc.errno)
+"""
+
+
+def test_failed_write_is_cut_back_off(tmp_path):
+    path = tmp_path / "board.txt"
+    BulletinBoard(path).append("META", b"first")
+    before = path.read_bytes()
+    src = str(Path(board_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED_BATCH, src, str(path), str(len(before) + 150)],
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (errno.EFBIG, "")
+    assert path.read_bytes() == before
+    BulletinBoard(path).append("META", b"second")  # the next count publishes
     assert board_verify(path) is None

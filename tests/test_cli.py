@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import blindvote
-from blindvote import identity
+from blindvote import blindsig, board as board_mod, identity
 from blindvote.authority import SigningAuthority, format_request, read_request_log
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BoardBatch, BulletinBoard, board_verify
@@ -99,6 +99,26 @@ class TestSetup:
         for name in ("authority.key", "registry.txt", "credentials.txt", "board.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+
+    def test_interrupted_keygen_blocks_no_retry(self, tmp_path, config_file, capsys,
+                                                monkeypatch):
+        # Key generation and credential issue come before the first write, so
+        # a setup stopped inside keygen leaves no file that refuses the next.
+        d = tmp_path / "e"
+        argv = ["setup", "--dir", str(d), "--config", str(config_file),
+                "--voters", "2", "--bits", "512", "--seed", "1"]
+
+        def interrupted(bits, rng=None):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(blindsig, "keygen", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert not d.exists()
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.endswith("voters=2 key_bits=512\n")
 
     def test_rerun_over_live_election_refused(self, election, config_file, capsys):
         rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
@@ -858,6 +878,36 @@ class TestBoardCommand:
         rc, out, _ = run(capsys, "board", "verify", "--board",
                          str(election / "board.txt"))
         assert (rc, out) == (0, "OK records=1\n")
+
+    def test_missing_board_is_empty_and_not_created(self, tmp_path, capsys):
+        board = tmp_path / "board.txt"
+        rc, out, _ = run(capsys, "board", "verify", "--board", str(board))
+        assert (rc, out) == (0, "OK records=0\n")
+        assert not board.exists()
+
+    def test_counts_only_the_records_it_verified(self, election, capsys, monkeypatch):
+        # A record published right after the replay must wait for the count:
+        # board verify holds a shared flock on the board across both reads.
+        path = election / "board.txt"
+        verify = board_mod.board_verify
+        writers = []
+
+        def verify_then_publish(board):
+            broken = verify(board)
+            writer = threading.Thread(
+                target=BulletinBoard(path).append, args=("META", b"late")
+            )
+            writer.start()
+            writer.join(timeout=1.0)  # returns at once where nothing blocks it
+            writers.append(writer)
+            return broken
+
+        monkeypatch.setattr(board_mod, "board_verify", verify_then_publish)
+        rc, out, _ = run(capsys, "board", "verify", "--dir", str(election))
+        writers[0].join(timeout=10.0)
+        assert not writers[0].is_alive()
+        assert (rc, out) == (0, "OK records=1\n")
+        assert len(BulletinBoard(path).records()) == 2
 
     def test_tamper_reported_with_seq(self, election, capsys):
         for voter, seed in (("V0001", 1), ("V0002", 2)):
