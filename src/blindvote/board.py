@@ -27,7 +27,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .errors import ChainBroken
 
@@ -113,12 +113,11 @@ class BulletinBoard:
 
     A publication is one batch: it holds an exclusive flock on the file,
     replays and verifies the chain once, chains its records in memory and
-    writes them all on a clean exit. An exception inside the batch writes
-    nothing, and a write that fails part way is cut back off. Writers in
-    any thread or process, through any number of BulletinBoard objects on
-    the same path, therefore never both write seq n. Do not append to the
-    same path inside a batch: a second flock, on a second descriptor, waits
-    for the first forever.
+    writes them all with append_lines on a clean exit. An exception inside
+    the batch writes nothing. Writers in any thread or process, through any
+    number of BulletinBoard objects on the same path, therefore never both
+    write seq n. Do not append to the same path inside a batch: a second
+    flock, on a second descriptor, waits for the first forever.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -128,23 +127,14 @@ class BulletinBoard:
     def batch(self) -> Iterator[BoardBatch]:
         """Raises ChainBroken if the board is corrupt. An OSError propagates
         unchanged; the CLI prints it as IoFailure, as for every other file."""
-        with self.path.open("ab", buffering=0) as fh:
+        with self.path.open("a+b", buffering=0) as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
             records, broken = _replay(self.path)
             if broken is not None:
                 raise ChainBroken(broken)
             batch = BoardBatch(records)
             yield batch
-            size = os.fstat(fh.fileno()).st_size
-            data = memoryview("".join(rec.line + "\n" for rec in batch.added).encode("ascii"))
-            try:
-                while data:  # an unbuffered write may take only part of data
-                    data = data[fh.write(data) :]
-            except BaseException:
-                # Still locked: cut off the part that was written, so the
-                # board is left as it was and no torn tail breaks its chain.
-                fh.truncate(size)
-                raise
+            append_lines(fh, "".join(rec.line + "\n" for rec in batch.added))
 
     def append(self, kind: str, payload: bytes) -> BoardRecord:
         with self.batch() as batch:
@@ -155,6 +145,28 @@ class BulletinBoard:
         if broken is not None:
             raise ChainBroken(broken)
         return records
+
+
+def append_lines(fh: BinaryIO, text: str) -> None:
+    """Append `text`, lines each ended by "\n", to `fh` (unbuffered, open
+    for reading and writing) under an exclusive flock on it, and fsync it:
+    the one way requests.log, ballotbox.txt and board.txt grow. After a torn
+    last line the text starts a fresh line. Any exception, a short write
+    included, truncates the file back to its size before the call."""
+    if not text:
+        return
+    fcntl.flock(fh, fcntl.LOCK_EX)
+    size = fh.seek(0, os.SEEK_END)
+    if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+        text = "\n" + text
+    data = memoryview(text.encode())
+    try:
+        while data:  # an unbuffered write may take only part of data
+            data = data[fh.write(data) :]
+        os.fsync(fh.fileno())
+    except BaseException:
+        fh.truncate(size)
+        raise
 
 
 def board_verify(path: str | Path) -> int | None:

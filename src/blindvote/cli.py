@@ -11,12 +11,13 @@
     ballots/<id>.txt printable ballot artifacts
     notes/<id>.txt   voter note sheets
 
-Every subcommand reads and writes only these files. Randomized steps take
---seed so a scripted run is reproducible byte for byte. `vote` and
-`authority` flock the directory exclusively from loading requests.log to
-the fsync of the lines they append; `gate`, `tally` and `audit` read the log
-under a shared flock, so they never see part of an append. `board verify`
-holds a shared flock on board.txt, so it counts only what it verified.
+Every subcommand reads and writes only these files; `setup` builds them in
+a sibling directory and renames it into place. Randomized steps take --seed
+so a scripted run is reproducible byte for byte. requests.log, ballotbox.txt
+and board.txt grow only by board.append_lines, under an exclusive flock on
+the file: `vote` and `authority` hold it on requests.log from loading it to
+the fsync of their lines. Every command reads them under a flock on the
+file, so it never sees part of an append.
 `vote` and `gate` parse only the lines of credentials.txt and registry.txt
 that contain their voter's id, so a fault in another voter's line does not
 stop them; `authority`, `tally` and `audit` parse every line.
@@ -31,8 +32,10 @@ import argparse
 import contextlib
 import dataclasses
 import fcntl
+import io
 import os
 import random
+import shutil
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -112,66 +115,50 @@ class _Dir:
             return load_registry(fh, voter_id)
 
     @contextlib.contextmanager
-    def _flock(self, operation: int) -> Iterator[None]:
-        """Hold flock(operation) on the election directory."""
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            fcntl.flock(fd, operation)
-            yield
-        finally:
-            os.close(fd)  # releases the lock
-
-    @contextlib.contextmanager
     def locked_authority(
         self, voter_id: str | None = None
     ) -> Iterator[authority_mod.SigningAuthority]:
         """The authority restored from requests.log under an exclusive flock
-        on the directory. On a clean exit, still locked, the requests signed
-        inside the block are appended to the log and fsynced, so no
-        signature leaves before its line is durable; if the append fails,
-        the log is truncated back to its size before it. With a voter_id
-        its registry holds that voter alone, so it can sign for no one
-        else.
-
-        No code inside the block may call load_requests: its shared flock,
-        on a second descriptor, would wait for this one forever.
+        on the log, which is opened without O_CREAT: an empty log would let
+        every voter vote again. On a clean exit, still locked, the requests
+        signed inside the block are appended by board_mod.append_lines, so no
+        signature leaves before its line is durable. With a voter_id its
+        registry holds that voter alone, so it can sign for no one else. No
+        code inside the block may call load_requests: its shared flock, on a
+        second descriptor, would wait for this one forever.
 
         A kill inside the write, or power loss, can still leave an
         unterminated fragment at the end of the log, parsable or not.
         read_request_log refuses it, so every reader, this one included,
         stops with BadFraming until the log is truncated after its last
         "\n"; that is safe, because the fragment's signature never left."""
-        with self._flock(fcntl.LOCK_EX):
+        with self.requests.open("r+b", buffering=0) as log:
+            fcntl.flock(log, fcntl.LOCK_EX)  # released when log closes
             auth = authority_mod.SigningAuthority(
                 self.load_config(), self.load_key(), self.load_registry(voter_id)
             )
-            with self.requests.open() as fh:
+            with open(log.fileno(), closefd=False) as fh:
                 loaded = auth.load_request_log(fh)
             yield auth
-            size = self.requests.stat().st_size
-            try:
-                with self.requests.open("a") as fh:
-                    auth.save_request_log(fh, after=loaded)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            except BaseException:
-                # Closing the file flushed any part of a line; cut it off.
-                os.truncate(self.requests, size)
-                raise
+            lines = io.StringIO()
+            auth.save_request_log(lines, after=loaded)
+            board_mod.append_lines(log, lines.getvalue())
 
     def load_box(self) -> list[str]:
         with self.ballotbox.open(errors="replace") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
             return load_ballot_box(fh)
 
     def load_requests(self) -> list[SigningRequest]:
-        """The whole log, read under a shared flock so that no append is
-        seen in part."""
-        with self._flock(fcntl.LOCK_SH), self.requests.open() as fh:
+        """The whole log, read under a shared flock on it so that no append
+        is seen in part."""
+        with self.requests.open() as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
             return authority_mod.read_request_log(fh)
 
 
 def cmd_setup(args: argparse.Namespace) -> int:
-    d = _Dir(args.dir)
+    root = Path(os.path.abspath(args.dir))
     rng = _rng(args.seed)
     if (args.bits + 7) // 8 < codec.MIN_MODULUS_LEN:
         raise ModulusTooSmall(
@@ -181,36 +168,39 @@ def cmd_setup(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config))
     # Setting up over a live election would reset its request log and keys
     # and let every voter vote again.
-    for path in (d.config, d.key, d.pub, d.registry, d.credentials,
-                 d.requests, d.ballotbox, d.board):
-        if path.exists():
-            raise FileExistsError(f"{path} exists: {d.root} already holds an election")
-    # The slow and interruptible steps come first, so that a setup stopped
-    # inside them leaves nothing that blocks the next one.
+    if root.exists() and any(root.iterdir()):
+        raise FileExistsError(f"{root} is not empty: setup needs a new or empty directory")
     key = blindsig.keygen(args.bits, rng)
     issuer = CredentialIssuer(rng)
     creds = [issuer.issue(f"V{i:04d}") for i in range(1, args.voters + 1)]
-    d.root.mkdir(parents=True, exist_ok=True)
-    d.ballots.mkdir(exist_ok=True)
-    d.notes.mkdir(exist_ok=True)
-    save_config(config, d.config)
-    with d.key.open("w") as fh:
-        blindsig.save_keypair(key, fh)
-    with d.pub.open("w") as fh:
-        blindsig.save_public_key(key.public, fh)
-    with d.registry.open("w") as fh:
-        save_registry(issuer.registry, fh)
-    with d.credentials.open("w") as fh:
-        save_secrets(creds, fh)
-    d.requests.write_text("")
-    d.ballotbox.write_text("")
-    bb = board_mod.BulletinBoard(d.board)
-    bb.append(
-        "META",
-        f"election {config.election_id.hex()} voters {len(creds)}".encode(),
-    )
+    # The files are written into a sibling directory that is renamed into
+    # place whole, so a setup stopped anywhere leaves nothing behind.
+    stage = _Dir(root.with_name(f".{root.name}.{os.getpid()}.setup"))
+    stage.root.mkdir(parents=True)
+    try:
+        stage.ballots.mkdir()
+        stage.notes.mkdir()
+        save_config(config, stage.config)
+        with stage.key.open("w") as fh:
+            blindsig.save_keypair(key, fh)
+        with stage.pub.open("w") as fh:
+            blindsig.save_public_key(key.public, fh)
+        with stage.registry.open("w") as fh:
+            save_registry(issuer.registry, fh)
+        with stage.credentials.open("w") as fh:
+            save_secrets(creds, fh)
+        stage.requests.write_text("")
+        stage.ballotbox.write_text("")
+        board_mod.BulletinBoard(stage.board).append(
+            "META",
+            f"election {config.election_id.hex()} voters {len(creds)}".encode(),
+        )
+        os.rename(stage.root, root)  # replaces an empty directory
+    except BaseException:
+        shutil.rmtree(stage.root)
+        raise
     print(
-        f"election {config.election_id.hex()} dir={d.root} "
+        f"election {config.election_id.hex()} dir={Path(args.dir)} "
         f"voters={len(creds)} key_bits={key.n.bit_length()}"
     )
     return EXIT_OK
@@ -234,12 +224,8 @@ def cmd_vote(args: argparse.Namespace) -> int:
     (d.ballots / f"{args.voter}.txt").write_text(artifact.text)
     (d.notes / f"{args.voter}.txt").write_text(note.text)
     if not args.no_mail:
-        with d.ballotbox.open("a+") as fh:
-            # Start a fresh line, so a torn last line is rejected on its own.
-            end = fh.tell()
-            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
-                fh.write("\n")
-            fh.write(artifact.payload + "\n")
+        with d.ballotbox.open("a+b", buffering=0) as fh:
+            board_mod.append_lines(fh, artifact.payload + "\n")
     print(artifact.payload)
     return EXIT_OK
 

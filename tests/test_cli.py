@@ -120,6 +120,46 @@ class TestSetup:
         assert (rc, err) == (0, "")
         assert out.endswith("voters=2 key_bits=512\n")
 
+    def test_interrupted_write_leaves_nothing_behind(self, tmp_path, config_file, capsys,
+                                                     monkeypatch):
+        # The files are written into a sibling directory that only a finished
+        # setup renames into place, so a setup stopped among its writes
+        # leaves neither the election nor the sibling, and the retry runs.
+        d = tmp_path / "e"
+        argv = ["setup", "--dir", str(d), "--config", str(config_file),
+                "--voters", "2", "--bits", "512", "--seed", "1"]
+
+        def interrupted(creds, out):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(blindvote.cli, "save_secrets", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.endswith("voters=2 key_bits=512\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "e"]
+
+    def test_non_empty_directory_refused_and_empty_one_set_up(self, tmp_path, config_file,
+                                                              capsys):
+        d = tmp_path / "e"
+        d.mkdir()
+        (d / "notes.txt").write_text("not an election\n")
+        argv = ["setup", "--dir", str(d), "--config", str(config_file),
+                "--voters", "2", "--bits", "512", "--seed", "1"]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"ERR IoFailure: {d} is not empty: setup needs a new or empty directory\n"
+        assert [p.name for p in d.iterdir()] == ["notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "e"]
+        (d / "notes.txt").unlink()
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0
+        assert (d / "requests.log").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "e"]
+
     def test_rerun_over_live_election_refused(self, election, config_file, capsys):
         rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
                        "--party", "0", "--seed", "5")
@@ -806,15 +846,70 @@ def test_request_log_append_is_synced(election, capsys, tmp_path, monkeypatch,
     assert events.index(("fsync", log.stat().st_ino)) < events.index(("write", output))
 
 
+def test_box_and_board_appends_are_synced(election, capsys, monkeypatch):
+    # The box and the board grow by the same append as requests.log, so a
+    # mailed ballot and a published count are durable when the command ends.
+    synced = set()
+    fsync = os.fsync
+
+    def spy_fsync(fd):
+        synced.add(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    for argv in (["vote", "--voter", "V0001", "--party", "0", "--seed", "11"],
+                 ["tally"]):
+        rc, _, _ = run(capsys, *argv, "--dir", str(election))
+        assert rc == 0
+    for name in ("requests.log", "ballotbox.txt", "board.txt"):
+        assert (election / name).stat().st_ino in synced, name
+
+
+# Run in a child process whose file size limit stops the box append part
+# way: the kernel writes what fits, returns a short count, then refuses the
+# rest with EFBIG.
+_SIZE_LIMITED_VOTE = """
+import resource, signal, sys
+sys.path.insert(0, sys.argv[1])
+from blindvote.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[3]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(["vote", "--dir", sys.argv[2], "--voter", "V0002", "--party", "1", "--seed", "22"]))
+"""
+
+
+def test_failed_box_append_is_cut_back_off(election, capsys):
+    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                   "--party", "0", "--seed", "21")
+    assert rc == 0
+    box = election / "ballotbox.txt"
+    # Blank lines, which tally skips, make the box the largest file the vote
+    # writes, so the limit falls inside the box append and nowhere before it.
+    with box.open("a") as fh:
+        fh.write("\n" * 4096)
+    before = box.read_bytes()
+    src = str(Path(blindvote.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED_VOTE, src, str(election), str(len(before) + 40)],
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("ERR IoFailure:")
+    assert box.read_bytes() == before
+    rc, out, _ = run(capsys, "tally", "--dir", str(election), "--no-publish")
+    assert rc == 0
+    assert "ballots total=1 accepted=1 rejected=0 duplicates=0" in out
+
+
 @pytest.mark.parametrize("argv", [["gate", "V0001"], ["tally", "--no-publish"],
                                   ["audit"]])
 def test_readers_wait_for_a_commit_in_progress(election, capsys, argv):
-    # The shared flock is what keeps a reader from seeing part of an append;
-    # a commit holds the exclusive one.
+    # The shared flock on requests.log is what keeps a reader from seeing
+    # part of an append; a commit holds the exclusive one on the same file.
     results = []
     reader = threading.Thread(
         target=lambda: results.append(main([*argv, "--dir", str(election)])))
-    fd = os.open(election, os.O_RDONLY)
+    fd = os.open(election / "requests.log", os.O_RDONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         reader.start()
@@ -823,6 +918,28 @@ def test_readers_wait_for_a_commit_in_progress(election, capsys, argv):
     finally:
         os.close(fd)
     reader.join(timeout=60)
+    assert results == [0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vote", "--voter", "V0001", "--party", "0", "--seed", "11"],
+    ["tally", "--no-publish"],
+])
+def test_box_append_and_read_wait_for_the_box_lock(election, capsys, argv):
+    # The box is locked on its own file like the log and the board: a vote
+    # waits to append, and a count to read, while another process appends.
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(main([*argv, "--dir", str(election)])))
+    fd = os.open(election / "ballotbox.txt", os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        worker.start()
+        worker.join(timeout=0.5)
+        assert worker.is_alive() and results == []
+    finally:
+        os.close(fd)
+    worker.join(timeout=60)
     assert results == [0]
 
 

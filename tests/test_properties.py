@@ -1,7 +1,8 @@
 """Property tests: codec, payload framing and the directory's line formats
 each round-trip, the readers skip blank and comment lines alike, a board
-batch writes what the same appends one by one would, and the request log's
-appends write what a rewrite of the whole log would."""
+batch writes what the same appends one by one would, the request log's
+appends write what a rewrite of the whole log would, and append_lines
+writes its lines, each on a fresh line."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from blindvote.authority import (
     format_request,
     read_request_log,
 )
-from blindvote.board import KINDS, BulletinBoard, board_verify
+from blindvote.board import KINDS, BulletinBoard, append_lines, board_verify
 from blindvote.cli import main
 from blindvote.election import (
     MAX_CANDIDATES,
@@ -382,3 +383,32 @@ class TestBoardBatch:
             lines[i] = lines[i][:j] + char + lines[i][j + 1 :]
             board.path.write_text("\n".join(lines) + "\n")
             assert board_verify(board.path) == i
+
+
+lines_text = st.text(
+    alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+    max_size=12,
+)
+
+
+class TestAppendLines:
+    @FAST
+    @given(
+        start=st.lists(lines_text, max_size=4),
+        tail=lines_text,
+        appends=st.lists(st.lists(lines_text, max_size=4), max_size=5),
+        mode=st.sampled_from(["a+b", "r+b"]),
+    )
+    def test_appends_are_their_lines_on_fresh_lines(self, start, tail, appends, mode):
+        # The file starts as whole lines and, when tail is not empty, a torn
+        # last line; the first line appended after it starts a line of its own.
+        head = "".join(line + "\n" for line in start) + tail
+        body = "".join(line + "\n" for lines in appends for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.txt"
+            path.write_bytes(head.encode())
+            for lines in appends:
+                with path.open(mode, buffering=0) as fh:
+                    append_lines(fh, "".join(line + "\n" for line in lines))
+            fresh = "\n" if tail and body else ""
+            assert path.read_bytes() == (head + fresh + body).encode()
