@@ -12,12 +12,13 @@
     notes/<id>.txt   voter note sheets
 
 Every subcommand reads and writes only these files; `setup` builds them in
-a sibling directory and renames it into place. Randomized steps take --seed
-so a scripted run is reproducible byte for byte. requests.log, ballotbox.txt
-and board.txt grow only by board.append_lines, under an exclusive flock on
-the file: `vote` and `authority` hold it on requests.log from loading it to
-the fsync of their lines. Every command reads them under a flock on the
-file, so it never sees part of an append.
+a sibling directory and renames it into place. Every file is UTF-8 whatever
+the locale, its lines ended by "\n". Randomized steps take --seed so a
+scripted run is reproducible byte for byte. requests.log, ballotbox.txt and
+board.txt grow only by board.append_lines, under an exclusive flock on the
+file: `vote` and `authority` hold it on requests.log from loading it to the
+fsync of their lines. Every command reads them under a flock on the file,
+so it never sees part of an append.
 `vote` and `gate` parse only the lines of credentials.txt and registry.txt
 that contain their voter's id, so a fault in another voter's line does not
 stop them; `authority`, `tally` and `audit` parse every line.
@@ -102,16 +103,16 @@ class _Dir:
         return load_config(self.config)
 
     def load_pub(self) -> blindsig.PublicKey:
-        with self.pub.open() as fh:
+        with self.pub.open(encoding="utf-8") as fh:
             return blindsig.load_public_key(fh)
 
     def load_key(self) -> blindsig.BlindKeyPair:
-        with self.key.open() as fh:
+        with self.key.open(encoding="utf-8") as fh:
             return blindsig.load_keypair(fh)
 
     def load_registry(self, voter_id: str | None = None) -> dict[str, bytes]:
         """The whole registry, or with a voter_id that voter's entry alone."""
-        with self.registry.open() as fh:
+        with self.registry.open(encoding="utf-8") as fh:
             return load_registry(fh, voter_id)
 
     @contextlib.contextmanager
@@ -137,7 +138,7 @@ class _Dir:
             auth = authority_mod.SigningAuthority(
                 self.load_config(), self.load_key(), self.load_registry(voter_id)
             )
-            with open(log.fileno(), closefd=False) as fh:
+            with open(log.fileno(), encoding="utf-8", closefd=False) as fh:
                 loaded = auth.load_request_log(fh)
             yield auth
             lines = io.StringIO()
@@ -145,14 +146,14 @@ class _Dir:
             board_mod.append_lines(log, lines.getvalue())
 
     def load_box(self) -> list[str]:
-        with self.ballotbox.open(errors="replace") as fh:
+        with self.ballotbox.open(encoding="utf-8", errors="replace") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             return load_ballot_box(fh)
 
     def load_requests(self) -> list[SigningRequest]:
         """The whole log, read under a shared flock on it so that no append
         is seen in part."""
-        with self.requests.open() as fh:
+        with self.requests.open(encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             return authority_mod.read_request_log(fh)
 
@@ -165,7 +166,7 @@ def cmd_setup(args: argparse.Namespace) -> int:
             f"--bits {args.bits} cannot carry a padded ballot "
             f"(need a modulus of >= {codec.MIN_MODULUS_LEN} bytes)"
         )
-    config = load_config(Path(args.config))
+    config = load_config(args.config)
     # Setting up over a live election would reset its request log and keys
     # and let every voter vote again.
     if root.exists() and any(root.iterdir()):
@@ -181,16 +182,16 @@ def cmd_setup(args: argparse.Namespace) -> int:
         stage.ballots.mkdir()
         stage.notes.mkdir()
         save_config(config, stage.config)
-        with stage.key.open("w") as fh:
+        with stage.key.open("w", encoding="utf-8") as fh:
             blindsig.save_keypair(key, fh)
-        with stage.pub.open("w") as fh:
+        with stage.pub.open("w", encoding="utf-8") as fh:
             blindsig.save_public_key(key.public, fh)
-        with stage.registry.open("w") as fh:
+        with stage.registry.open("w", encoding="utf-8") as fh:
             save_registry(issuer.registry, fh)
-        with stage.credentials.open("w") as fh:
+        with stage.credentials.open("w", encoding="utf-8") as fh:
             save_secrets(creds, fh)
-        stage.requests.write_text("")
-        stage.ballotbox.write_text("")
+        stage.requests.touch()
+        stage.ballotbox.touch()
         board_mod.BulletinBoard(stage.board).append(
             "META",
             f"election {config.election_id.hex()} voters {len(creds)}".encode(),
@@ -209,7 +210,7 @@ def cmd_setup(args: argparse.Namespace) -> int:
 def cmd_vote(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     rng = _rng(args.seed)
-    with d.credentials.open() as fh:
+    with d.credentials.open(encoding="utf-8") as fh:
         secrets = load_secrets(fh, args.voter)
     if args.voter not in secrets:
         raise UnknownVoter(f"no credential for {args.voter!r} in {d.credentials}")
@@ -221,8 +222,8 @@ def cmd_vote(args: argparse.Namespace) -> int:
         artifact, note = voter.prepare_and_cast(
             auth.config, cred, sel, auth.key.public, auth.handle_request, rng
         )
-    (d.ballots / f"{args.voter}.txt").write_text(artifact.text)
-    (d.notes / f"{args.voter}.txt").write_text(note.text)
+    (d.ballots / f"{args.voter}.txt").write_text(artifact.text, encoding="utf-8")
+    (d.notes / f"{args.voter}.txt").write_text(note.text, encoding="utf-8")
     if not args.no_mail:
         with d.ballotbox.open("a+b", buffering=0) as fh:
             board_mod.append_lines(fh, artifact.payload + "\n")
@@ -235,9 +236,9 @@ def cmd_authority(args: argparse.Namespace) -> int:
     mailbox = Path(args.mailbox)
     out = Path(args.out) if args.out else mailbox.with_suffix(mailbox.suffix + ".rsp")
     with d.locked_authority() as auth:
-        with mailbox.open(errors="replace") as fh:
+        with mailbox.open(encoding="utf-8", errors="replace") as fh:
             responses = authority_mod.process_mailbox(auth, fh)
-    out.write_text("".join(line + "\n" for line in responses))
+    out.write_text("".join(line + "\n" for line in responses), encoding="utf-8")
     print(f"processed {len(responses)} requests, responses in {out}")
     return EXIT_OK
 
@@ -249,8 +250,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.payload is not None:
         payload = args.payload
     else:
-        text = Path(args.file).read_text(errors="replace").strip()
-        payload = text.splitlines()[-1] if text else ""  # empty: BadFraming
+        text = Path(args.file).read_text(encoding="utf-8", errors="replace")
+        payload = text.strip().rpartition("\n")[2]  # the last line; empty: BadFraming
     sel = voter.verify_ballot(pk, config, payload)
     party = config.party(sel.party_index)
     print(f"VALID election {config.election_id.hex()}")
@@ -272,6 +273,7 @@ def cmd_tally(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     config, result, audit = _count(d)
     if not args.no_publish:
+        d.board.stat()  # setup wrote it: missing is IoFailure, not a new chain
         publish_tally(board_mod.BulletinBoard(d.board), config, result, audit)
     sys.stdout.write(format_tally_report(config, result))
     return EXIT_OK
@@ -301,8 +303,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_legacy_sim(args: argparse.Namespace) -> int:
-    config = load_config(Path(args.config))
-    scenario = legacy.parse_scenario(Path(args.scenario).read_text(errors="replace"))
+    config = load_config(args.config)
+    text = Path(args.scenario).read_text(encoding="utf-8", errors="replace")
+    scenario = legacy.parse_scenario(text)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     bb = board_mod.BulletinBoard(args.board) if args.board else None
@@ -316,6 +319,8 @@ def cmd_board_verify(args: argparse.Namespace) -> int:
     try:
         fh = path.open("rb")
     except FileNotFoundError:
+        if args.dir:
+            raise  # setup wrote the election's board
         print("OK records=0")  # nothing published yet
         return EXIT_OK
     with fh:

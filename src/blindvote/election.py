@@ -13,7 +13,7 @@ import datetime
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     CandidateOutOfRange,
@@ -34,6 +34,10 @@ def _check_name(field_path: str, name: str) -> None:
         raise InvariantViolation(field_path, "must not have leading/trailing whitespace")
     if "\n" in name or "\r" in name:
         raise InvariantViolation(field_path, "must not contain newlines")
+    try:
+        name.encode()
+    except UnicodeEncodeError:  # a lone surrogate: no file could hold it
+        raise InvariantViolation(field_path, "must be encodable as UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -67,10 +71,8 @@ class ElectionConfig:
             raise InvariantViolation(
                 "election_id", f"must be exactly {ELECTION_ID_LEN} bytes"
             )
-        if "\n" in self.title or "\r" in self.title:
-            raise InvariantViolation("title", "must not contain newlines")
-        if self.title != self.title.strip():
-            raise InvariantViolation("title", "must not have leading/trailing whitespace")
+        if self.title:
+            _check_name("title", self.title)
         if not 1 <= len(self.parties) <= MAX_PARTIES:
             raise InvariantViolation(
                 "parties", f"need 1..{MAX_PARTIES} parties, got {len(self.parties)}"
@@ -157,7 +159,7 @@ def hex_int(text: str) -> int:
 
 # --- config file format ---
 #
-# Line-oriented UTF-8:
+# Line-oriented UTF-8, each line ended by "\n":
 #   ELECTION <16 hex chars> <title>
 #   CREATED <ISO date>            (optional)
 #   PARTY <name>
@@ -166,18 +168,14 @@ def hex_int(text: str) -> int:
 # are comments.
 
 
-def load_config(source: Union[str, os.PathLike, TextIO]) -> ElectionConfig:
-    """Parse and fully validate an election config file.
-
-    `source` may be a path or an open text stream. Raises ParseError on
-    malformed input and InvariantViolation on bound breaches.
+def load_config(path: Union[str, os.PathLike]) -> ElectionConfig:
+    """Parse and fully validate the election config file at `path`, read as
+    UTF-8 whatever the locale. Raises ParseError on malformed or undecodable
+    input and InvariantViolation on bound breaches.
     """
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None
     return parse_config(text)
@@ -189,7 +187,7 @@ def parse_config(text: str) -> ElectionConfig:
     created_at = ""
     parties: list[tuple[str, list[str]]] = []
 
-    for lineno, line in record_lines(text.splitlines()):
+    for lineno, line in record_lines(text.split("\n")):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "ELECTION":

@@ -239,7 +239,7 @@ def parse_scenario(text: str) -> LegacyScenario:
     honest: int | None = None
     compromised: int | None = None
     seed: int | None = None
-    for lineno, line in record_lines(text.splitlines()):
+    for lineno, line in record_lines(text.split("\n")):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<DIRECTIVE> <value>'")

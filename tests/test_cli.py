@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import errno
 import fcntl
@@ -457,6 +458,17 @@ class TestTallyAuditGate:
         assert err.startswith("ERR IoFailure:")
         assert (election / "board.txt").read_bytes() == board
 
+    @pytest.mark.parametrize("argv", [["tally"], ["board", "verify"]])
+    def test_missing_board_is_io_failure_and_not_created(self, election, capsys, argv):
+        # setup wrote the board, so a missing one has lost the published
+        # evidence: a new chain in its place would hide that.
+        self.cast(capsys, election, "V0001", 0, 21)
+        (election / "board.txt").unlink()
+        rc, out, err = run(capsys, *argv, "--dir", str(election))
+        assert (rc, out) == (1, "")
+        assert err.startswith("ERR IoFailure:")
+        assert not (election / "board.txt").exists()
+
     def test_audit_clean(self, election, capsys):
         self.cast(capsys, election, "V0001", 0, 21)
         self.cast(capsys, election, "V0002", 1, 22)
@@ -633,7 +645,8 @@ class TestTallyAuditGate:
 
 
 class TestUtf8Payloads:
-    """Board payloads are UTF-8 text, so names and voter ids need not be ASCII."""
+    """Files and board payloads are UTF-8 text whatever the locale, so names
+    and voter ids need not be ASCII."""
 
     @pytest.mark.parametrize(
         "party, cand, voter",
@@ -668,6 +681,72 @@ class TestUtf8Payloads:
         payloads = {r.kind: r.payload for r in BulletinBoard(d / "board.txt").records()}
         assert payloads["TALLY"].decode() == report
         assert payloads["REQUEST"].decode() + "\n" == (d / "requests.log").read_text()
+
+    def test_locale_changes_no_file_or_output(self, tmp_path):
+        # C-locale coercion and UTF-8 mode would turn UTF-8 back on.
+        ascii_env = {**_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                     "PYTHONIOENCODING": "utf-8"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=ascii_env, capture_output=True, text=True, check=True,
+        )
+        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale's encoding is UTF-8 here")
+        own = _ci_election(tmp_path / "own", {**_env(), "PYTHONIOENCODING": "utf-8"})
+        ascii_ = _ci_election(tmp_path / "ascii", ascii_env)
+        assert [rc for rc, _ in own] == [0, 0, 0, 1, 0, 0, 0, 0, 3, 3, 0, 0]
+        assert ascii_ == own
+        files = [
+            {path.relative_to(root): path.read_bytes()
+             for path in sorted(root.rglob("*")) if path.is_file()}
+            for root in (tmp_path / "own", tmp_path / "ascii")
+        ]
+        assert files[0] == files[1]
+        assert "PARTY: Écolo\n" in files[0][Path("e/ballots/V0001.txt")].decode()
+
+
+def _ci_election(root: Path, env: dict[str, str]) -> list[tuple[int, bytes]]:
+    """CI's seeded election with non-ASCII names, one process per command
+    run in `root`: each command's exit code and stdout. A voter Zoë, added
+    to the roll, asks by mail, since under the C locale no argument can
+    carry that id."""
+    root.mkdir()
+    (root / "election.cfg").write_bytes(
+        "ELECTION 00112233445566aa CI Election\nPARTY Écolo\nCAND Frédéric\n"
+        "CAND Arno\nPARTY Beta\nCAND Ben\n".encode()
+    )
+
+    def blindvote(*argv: str) -> tuple[int, bytes]:
+        done = subprocess.run([sys.executable, "-m", "blindvote.cli", *argv], cwd=root,
+                              env=env, capture_output=True, timeout=60)
+        return done.returncode, done.stdout
+
+    results = [
+        blindvote("setup", "--dir", "e", "--config", "election.cfg", "--voters", "3",
+                  "--bits", "512", "--seed", "1"),
+        blindvote("vote", "--dir", "e", "--voter", "V0001", "--party", "0",
+                  "--approve", "1", "--seed", "2"),
+        blindvote("vote", "--dir", "e", "--voter", "V0002", "--party", "1", "--seed", "3"),
+        blindvote("vote", "--dir", "e", "--voter", "V0001", "--party", "1", "--seed", "9"),
+    ]
+    zoe = CredentialIssuer(random.Random(5)).issue("Zoë")
+    with (root / "e" / "registry.txt").open("a", encoding="utf-8") as fh:
+        save_registry({zoe.voter_id: zoe.public}, fh)
+    with (root / "e" / "credentials.txt").open("a", encoding="utf-8") as fh:
+        save_secrets([zoe], fh)
+    req = sign_request(zoe, bytes.fromhex("00112233445566aa"),
+                       random.Random(4).getrandbits(500))
+    (root / "mail.txt").write_bytes(f"{format_request(req)}\nREQ Frédéric\n".encode())
+    return results + [
+        blindvote("authority", "--dir", "e", "--mailbox", "mail.txt"),
+        blindvote("vote", "--dir", "e", "--voter", "V0003", "--party", "0", "--seed", "6"),
+        blindvote("tally", "--dir", "e"),
+        blindvote("audit", "--dir", "e"),
+        blindvote("gate", "--dir", "e", "V0001"),
+        blindvote("gate", "--dir", "e", "V0003"),
+        blindvote("verify", "--dir", "e", "--file", "e/ballots/V0001.txt"),
+        blindvote("board", "verify", "--dir", "e"),
+    ]
 
 
 class TestAuthorityMailbox:

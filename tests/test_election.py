@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import itertools
 import random
 
@@ -121,6 +120,19 @@ class TestConfigInvariants:
         with pytest.raises(InvariantViolation):
             Party(index=0, name="P", candidates=("",))
 
+    @pytest.mark.parametrize("bad", ["A\nB", "A\rB", " A", "A\t", "A\ud800"])
+    def test_names_no_config_file_can_hold_rejected(self, bad):
+        with pytest.raises(InvariantViolation):
+            ElectionConfig(
+                election_id=b"\x01" * 8,
+                title=bad,
+                parties=(Party(index=0, name="P", candidates=("C",)),),
+            )
+        with pytest.raises(InvariantViolation):
+            Party(index=0, name=bad, candidates=("C",))
+        with pytest.raises(InvariantViolation):
+            Party(index=0, name="P", candidates=("C", bad))
+
     def test_bad_created_at(self):
         with pytest.raises(InvariantViolation):
             ElectionConfig(
@@ -150,8 +162,11 @@ class TestConfigFile:
         assert config.parties[0].candidates == ("Anna", "Arno")
         assert config.parties[1].candidates == ("Ben",)
 
-    def test_load_from_stream(self):
-        config = load_config(io.StringIO(self.GOOD))
+    def test_load_from_path(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(self.GOOD.encode())
+        config = load_config(path)
+        assert config == parse_config(self.GOOD)
         assert config.election_id == bytes.fromhex("00112233445566aa")
 
     def test_256_parties_rejected(self):

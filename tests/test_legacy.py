@@ -225,6 +225,8 @@ class TestScenarioFiles:
             "HONEST 5 extra\nCOMPROMISED 2\n",
             "WHAT 5\nHONEST 5\nCOMPROMISED 2\n",
             "HONEST 5\nCOMPROMISED 1\n",  # one device has no one to share k with
+            "HONEST 5\x0cCOMPROMISED 2\n",  # a form feed ends no line
+            "HONEST 5\n# note\u2028COMPROMISED 2\n",  # nor does U+2028
         ],
     )
     def test_parse_errors(self, text):

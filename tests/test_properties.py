@@ -1,8 +1,8 @@
-"""Property tests: codec, payload framing and the directory's line formats
-each round-trip, the readers skip blank and comment lines alike, a board
-batch writes what the same appends one by one would, the request log's
-appends write what a rewrite of the whole log would, and append_lines
-writes its lines, each on a fresh line."""
+"""Property tests: codec, payload framing, the config file and the
+directory's line formats each round-trip, the readers skip blank and
+comment lines alike, a board batch writes what the same appends one by one
+would, the request log's appends write what a rewrite of the whole log
+would, and append_lines writes its lines, each on a fresh line."""
 
 from __future__ import annotations
 
@@ -30,6 +30,9 @@ from blindvote.election import (
     ElectionConfig,
     Party,
     VoteSelection,
+    dumps_config,
+    load_config,
+    parse_config,
     save_config,
 )
 from blindvote.errors import BadFraming, ParseError
@@ -62,6 +65,29 @@ voter_ids = st.text(
     min_size=1,
     max_size=10,
 )
+
+# Any title or name ElectionConfig accepts: stripped, with neither "\n",
+# "\r" nor a lone surrogate, drawing often the characters that
+# str.splitlines() also breaks at.
+names = st.text(
+    st.sampled_from(" #\u00e9\t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    | st.characters(exclude_categories=["Cs"], exclude_characters="\n\r"),
+    min_size=1,
+    max_size=12,
+).map(str.strip).filter(bool)
+
+
+@st.composite
+def election_configs(draw):
+    parties = draw(st.lists(st.tuples(names, st.lists(names, min_size=1, max_size=3)),
+                            min_size=1, max_size=3))
+    return ElectionConfig(
+        election_id=draw(st.binary(min_size=8, max_size=8)),
+        title=draw(st.just("") | names),
+        parties=tuple(Party(index=i, name=name, candidates=tuple(cands))
+                      for i, (name, cands) in enumerate(parties)),
+        created_at=draw(st.sampled_from(["", "2026-08-14"])),
+    )
 
 
 @st.composite
@@ -146,6 +172,29 @@ class TestPayloadFraming:
         assume(same)
         with pytest.raises(BadFraming):
             parse_payload(f"{PAYLOAD_PREFIX}|{spelling}", pk)
+
+
+class TestConfigFile:
+    @FAST
+    @given(config=election_configs(), data=st.data())
+    def test_round_trip_and_error_line_numbers(self, tmp_path, config, data):
+        path = tmp_path / "cfg.txt"
+        save_config(config, path)
+        assert load_config(path) == config
+        text = dumps_config(config)
+        assert parse_config(text) == config
+        # A bad line anywhere is reported under its own line number.
+        lines = text.split("\n")
+        lineno = data.draw(st.integers(1, len(lines)))
+        lines.insert(lineno - 1, f"BOGUS {data.draw(names)}")
+        path.write_bytes("\n".join(lines).encode())
+        error = f"line {lineno}: unknown directive 'BOGUS'"
+        with pytest.raises(ParseError) as exc:
+            load_config(path)
+        assert str(exc.value) == error
+        with pytest.raises(ParseError) as exc:
+            parse_config("\n".join(lines))
+        assert str(exc.value) == error
 
 
 class TestDirectoryFiles:
