@@ -104,10 +104,11 @@ class SigningAuthority:
             for req in itertools.islice(self._log.values(), after, None):
                 out.write(format_request(req) + "\n")
 
-    def load_request_log(self, src: TextIO) -> int:
+    def load_request_log(self, src: TextIO, voter_id: str | None = None) -> int:
         """Restore a previously saved log (replaces the in-memory log) and
-        return the number of entries it holds."""
-        log = {req.voter_id: req for req in read_request_log(src)}
+        return the number of entries it holds; with a voter_id, that voter's
+        entry alone, or none (see read_request_log)."""
+        log = {req.voter_id: req for req in read_request_log(src, voter_id)}
         with self._lock:
             self._log = log
         return len(log)
@@ -145,26 +146,37 @@ def parse_request(line: str) -> SigningRequest:
     )
 
 
-def read_request_log(src: Iterable[str]) -> list[SigningRequest]:
+def read_request_log(
+    src: Iterable[str], voter_id: str | None = None
+) -> list[SigningRequest]:
     """Parse a saved request log: one REQ line per request, each ended by
     "\n", blank lines skipped. Text after the last "\n" (a torn append), a
-    "#" line, an undecodable byte or a voter listed twice is BadFraming too."""
+    "#" line, an undecodable byte or a voter listed twice is BadFraming too.
+
+    With a voter_id, only that voter's request, if any: every line is still
+    read and checked for its "\n", but only the lines that contain the id
+    are parsed, so each other voter's line costs one substring test and its
+    faults go unseen. A malformed line that contains the id, or a second
+    line for it, is still BadFraming."""
     requests: list[SigningRequest] = []
+    seen: set[str] = set()
     try:
         for line in src:
             if not line.endswith("\n"):  # only the last line can lack it
                 raise BadFraming("request log's last line is torn (no final newline)")
-            if line.strip():
-                requests.append(parse_request(line))
+            if (voter_id is not None and voter_id not in line) or not line.strip():
+                continue
+            req = parse_request(line)
+            if voter_id is not None and req.voter_id != voter_id:
+                continue  # another voter's line that contains the id
+            if req.voter_id in seen:
+                raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
+            seen.add(req.voter_id)
+            requests.append(req)
     except UnicodeDecodeError as exc:
         raise BadFraming(
             f"request log does not decode as {exc.encoding}: {exc.reason}"
         ) from None
-    seen: set[str] = set()
-    for req in requests:
-        if req.voter_id in seen:
-            raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
-        seen.add(req.voter_id)
     return requests
 
 

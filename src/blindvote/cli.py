@@ -19,9 +19,11 @@ board.txt grow only by board.append_lines, under an exclusive flock on the
 file: `vote` and `authority` hold it on requests.log from loading it to the
 fsync of their lines. Every command reads them under a flock on the file,
 so it never sees part of an append.
-`vote` and `gate` parse only the lines of credentials.txt and registry.txt
-that contain their voter's id, so a fault in another voter's line does not
-stop them; `authority`, `tally` and `audit` parse every line.
+`vote` and `gate` parse only the lines of credentials.txt, registry.txt and
+requests.log that contain their voter's id, so a fault in another voter's
+line does not stop them; `authority`, `tally` and `audit` parse every line.
+An undecodable byte anywhere in a file they read, or a torn log tail, still
+stops every command.
 
 Exit codes: 0 success, 1 protocol error (stderr line `ERR <Code>: <msg>`),
 2 usage, 3 negative verdict (gate BLOCK, audit cheat flag).
@@ -124,7 +126,8 @@ class _Dir:
         every voter vote again. On a clean exit, still locked, the requests
         signed inside the block are appended by board_mod.append_lines, so no
         signature leaves before its line is durable. With a voter_id its
-        registry holds that voter alone, so it can sign for no one else. No
+        registry and its log hold that voter alone, so it can sign for no
+        one else and parses no other voter's log line. No
         code inside the block may call load_requests: its shared flock, on a
         second descriptor, would wait for this one forever.
 
@@ -139,7 +142,7 @@ class _Dir:
                 self.load_config(), self.load_key(), self.load_registry(voter_id)
             )
             with open(log.fileno(), encoding="utf-8", closefd=False) as fh:
-                loaded = auth.load_request_log(fh)
+                loaded = auth.load_request_log(fh, voter_id)
             yield auth
             lines = io.StringIO()
             auth.save_request_log(lines, after=loaded)
@@ -150,12 +153,13 @@ class _Dir:
             fcntl.flock(fh, fcntl.LOCK_SH)
             return load_ballot_box(fh)
 
-    def load_requests(self) -> list[SigningRequest]:
-        """The whole log, read under a shared flock on it so that no append
-        is seen in part."""
+    def load_requests(self, voter_id: str | None = None) -> list[SigningRequest]:
+        """The logged requests, or with a voter_id that voter's alone (see
+        read_request_log), read under a shared flock on the log so that no
+        append is seen in part."""
         with self.requests.open(encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            return authority_mod.read_request_log(fh)
+            return authority_mod.read_request_log(fh, voter_id)
 
 
 def cmd_setup(args: argparse.Namespace) -> int:
@@ -272,10 +276,14 @@ def _count(d: _Dir) -> tuple[ElectionConfig, TallyResult, AuditReport]:
 def cmd_tally(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     config, result, audit = _count(d)
+    report = format_tally_report(config, result)
+    # A report that stdout cannot print stops tally before it publishes.
+    if sys.stdout.encoding is not None:  # None: an in-memory stream holds any text
+        report.encode(sys.stdout.encoding, sys.stdout.errors)
     if not args.no_publish:
         d.board.stat()  # setup wrote it: missing is IoFailure, not a new chain
         publish_tally(board_mod.BulletinBoard(d.board), config, result, audit)
-    sys.stdout.write(format_tally_report(config, result))
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -289,7 +297,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     registry = d.load_registry(args.voter_id)
     try:
-        requested = {req.voter_id for req in d.load_requests()}
+        requested = {req.voter_id for req in d.load_requests(args.voter_id)}
     except OSError:
         requested = None  # LookupUnavailable
     verdict = polling_gate(
@@ -429,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print(f"ERR {exc.code}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a file, or stdout's encoding
         print(f"ERR IoFailure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -488,7 +488,8 @@ class TestMontgomeryChain:
         pub = fresh_classic_key().public
         assert blind(65, 7, pub) == BLIND_65_R7
         twin, clone = copy.copy(pub), pickle.loads(pickle.dumps(pub))
-        assert "_ctx" in pub.__dict__
+        if blindsig.backend() == "libcrypto":  # the pow fallback makes no context
+            assert "_ctx" in pub.__dict__
         assert "_ctx" not in twin.__dict__ and "_ctx" not in clone.__dict__
         assert twin == clone == pub == PublicKey(n=3233, e=17)
         assert repr(pub) == "PublicKey(n=3233, e=17)"

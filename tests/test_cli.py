@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import blindvote
-from blindvote import blindsig, board as board_mod, identity
+from blindvote import authority as authority_mod, blindsig, board as board_mod, identity
 from blindvote.authority import SigningAuthority, format_request, read_request_log
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BoardBatch, BulletinBoard, board_verify
@@ -505,16 +505,20 @@ class TestTallyAuditGate:
         assert rc == 0
         assert "ballots_valid=1" in out
 
-    @pytest.mark.parametrize("bad_log", [
+    @pytest.mark.parametrize("bad_log, stops_every_reader", [
         pytest.param(lambda log: log + b"REQ V\xff01 "
-                     + FIXTURE_ELECTION_ID.hex().encode() + b" 11 22\n", id="undecodable"),
-        pytest.param(lambda log: log * 2, id="duplicate_voter"),
+                     + FIXTURE_ELECTION_ID.hex().encode() + b" 11 22\n", True,
+                     id="undecodable"),
+        # V0001's line twice: only the readers of the whole log see it.
+        pytest.param(lambda log: log * 2, False, id="duplicate_voter"),
         # Torn appends: the first cut fails no field check, the second
         # leaves a signature of 32 bytes; both still parse as a REQ line.
-        pytest.param(lambda log: log[:-1], id="torn_newline"),
-        pytest.param(lambda log: log[:log.rindex(b" ") + 1 + 64], id="torn_signature"),
+        pytest.param(lambda log: log[:-1], True, id="torn_newline"),
+        pytest.param(lambda log: log[:log.rindex(b" ") + 1 + 64], True,
+                     id="torn_signature"),
     ])
-    def test_undecodable_request_log_is_bad_framing(self, election, capsys, bad_log):
+    def test_undecodable_request_log_is_bad_framing(self, election, capsys, bad_log,
+                                                    stops_every_reader):
         self.cast(capsys, election, "V0001", 0, 21)
         log = election / "requests.log"
         log.write_bytes(bad_log(log.read_bytes()))
@@ -522,13 +526,16 @@ class TestTallyAuditGate:
         box = (election / "ballotbox.txt").read_bytes()
         mailbox = election.parent / "mail.txt"
         mailbox.write_text("")
+        scoped = [
+            ["gate", "V0002", "--dir", str(election)],
+            ["vote", "--dir", str(election), "--voter", "V0002", "--party", "0",
+             "--seed", "22"],
+        ]
         for argv in (
             ["authority", "--dir", str(election), "--mailbox", str(mailbox)],
             ["tally", "--dir", str(election)],
             ["audit", "--dir", str(election)],
-            ["gate", "V0002", "--dir", str(election)],
-            ["vote", "--dir", str(election), "--voter", "V0002", "--party", "0",
-             "--seed", "22"],
+            *(scoped if stops_every_reader else []),
         ):
             rc, out, err = run(capsys, *argv)
             assert (rc, out) == (1, ""), argv
@@ -580,6 +587,42 @@ class TestTallyAuditGate:
         assert rc == tally_rc
         if tally_rc:
             assert err.startswith("ERR ParseError: line 2:")
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda log: log.replace(b"REQ V0002 ", b"REQ V0002 zz"),
+                     id="malformed"),
+        pytest.param(lambda log: log * 2, id="duplicated"),
+    ])
+    def test_bad_request_line_of_another_voter_stops_no_vote_or_gate(
+        self, election, capsys, corrupt
+    ):
+        # vote and gate parse only the log lines that contain their voter's
+        # id; V0002's own commands and the readers of the whole log still
+        # refuse the log.
+        self.cast(capsys, election, "V0002", 0, 21)
+        log = election / "requests.log"
+        log.write_bytes(corrupt(log.read_bytes()))
+        rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+        assert (rc, out) == (0, "ALLOW V0001\n")
+        self.cast(capsys, election, "V0001", 0, 22)
+        rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+        assert (rc, out) == (3, "BLOCK V0001 reason=AlreadyRequested\n")
+        state = ("requests.log", "ballotbox.txt", "board.txt")
+        before = [(election / s).read_bytes() for s in state]
+        mailbox = election.parent / "mail.txt"
+        mailbox.write_text("")
+        for argv in (
+            ["gate", "V0002", "--dir", str(election)],
+            ["vote", "--dir", str(election), "--voter", "V0002", "--party", "0",
+             "--seed", "23"],
+            ["authority", "--dir", str(election), "--mailbox", str(mailbox)],
+            ["tally", "--dir", str(election)],
+            ["audit", "--dir", str(election)],
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, ""), argv
+            assert err.startswith("ERR BadFraming:"), argv
+        assert [(election / s).read_bytes() for s in state] == before
 
     @pytest.mark.parametrize("name, keyword, commands", [
         ("registry.txt", "VOTER", ("gate", "vote", "tally")),
@@ -703,6 +746,33 @@ class TestUtf8Payloads:
         ]
         assert files[0] == files[1]
         assert "PARTY: Écolo\n" in files[0][Path("e/ballots/V0001.txt")].decode()
+
+    def test_tally_that_cannot_print_publishes_nothing(self, tmp_path):
+        # The report is encoded for stdout before the count is published, so
+        # an ASCII stdout ends tally in an ERR line and leaves the board.
+        ascii_env = {**_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys; print(sys.stdout.encoding)"],
+            env=ascii_env, capture_output=True, text=True, check=True,
+        )
+        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale's encoding is UTF-8 here")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes("ELECTION 00112233445566aa CI Election\nPARTY Écolo\nCAND Arno\n"
+                        "PARTY Beta\nCAND Ben\n".encode())
+        d = tmp_path / "e"
+        assert main(["setup", "--dir", str(d), "--config", str(cfg), "--voters", "2",
+                     "--bits", "512", "--seed", "1"]) == 0
+        assert main(["vote", "--dir", str(d), "--voter", "V0001", "--party", "0",
+                     "--seed", "2"]) == 0
+        board = (d / "board.txt").read_bytes()
+        for argv in (["tally", "--dir", str(d)], ["tally", "--dir", str(d), "--no-publish"]):
+            done = subprocess.run([sys.executable, "-m", "blindvote.cli", *argv],
+                                  env=ascii_env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stdout) == (1, b""), argv
+            assert done.stderr.startswith(b"ERR IoFailure: "), argv
+            assert b"Traceback" not in done.stderr, argv
+        assert (d / "board.txt").read_bytes() == board
 
 
 def _ci_election(root: Path, env: dict[str, str]) -> list[tuple[int, bytes]]:
@@ -1375,6 +1445,32 @@ def test_vote_and_gate_parse_one_line_of_a_large_roll(tmp_path, config_file, cap
     parsed.clear()
     rc, _, _ = run(capsys, "audit", "--dir", str(d))
     assert (rc, len(parsed)) == (0, 3000)  # the audit still reads the whole roll
+
+
+def test_vote_and_gate_parse_one_line_of_a_large_request_log(election, capsys,
+                                                             monkeypatch):
+    # 1,000 other voters' well-formed lines: vote parses none of them and
+    # gate only its voter's own, while the audit still parses every line.
+    line = _signed_request(election, "V0002")
+    (election / "requests.log").write_text(
+        "".join(line.replace("V0002", f"X{i:04d}", 1) + "\n" for i in range(1000))
+    )
+    parsed = []
+    real = authority_mod.parse_request
+
+    def counted(text):
+        parsed.append(text.split()[1])
+        return real(text)
+
+    monkeypatch.setattr(authority_mod, "parse_request", counted)
+    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                   "--party", "1", "--seed", "4")
+    assert (rc, parsed) == (0, [])
+    rc, out, _ = run(capsys, "gate", "V0001", "--dir", str(election))
+    assert (rc, out, parsed) == (3, "BLOCK V0001 reason=AlreadyRequested\n", ["V0001"])
+    parsed.clear()
+    rc, _, _ = run(capsys, "audit", "--dir", str(election))
+    assert (rc, len(parsed)) == (0, 1001)
 
 
 def _signed_request(election, voter_id):

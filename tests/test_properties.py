@@ -2,7 +2,8 @@
 directory's line formats each round-trip, the readers skip blank and
 comment lines alike, a board batch writes what the same appends one by one
 would, the request log's appends write what a rewrite of the whole log
-would, and append_lines writes its lines, each on a fresh line."""
+would, a lookup of one voter in a file reads what the full read holds for
+that voter, and append_lines writes its lines, each on a fresh line."""
 
 from __future__ import annotations
 
@@ -293,6 +294,45 @@ class TestDirectoryFiles:
         assert auth.export_request_log() == [
             (req.voter_id, req.blinded, req.credential_signature) for req in requests
         ]
+
+    @FAST
+    @given(
+        log=st.dictionaries(
+            # Ids that nest (V0001 in V00011) or are all hex digits, so that
+            # they also occur inside the hex fields of other voters' lines.
+            voter_ids | st.sampled_from(
+                ["V0001", "V00011", "V000", "ab12", "12", FIXTURE_ELECTION_ID.hex()[2:6]]
+            ),
+            st.tuples(
+                st.integers(0, 2**2048) | st.just(0xAB12AB12),
+                st.binary(min_size=64, max_size=64),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        absent=voter_ids,
+        data=st.data(),
+    )
+    def test_request_log_lookup_is_the_full_read_restricted(self, log, absent, data):
+        assume(absent not in log)
+        requests = [
+            SigningRequest(
+                voter_id=vid,
+                election_id=FIXTURE_ELECTION_ID,
+                blinded=blinded,
+                credential_signature=sig,
+            )
+            for vid, (blinded, sig) in log.items()
+        ]
+        text = "".join(format_request(req) + "\n" for req in requests)
+        full = read_request_log(io.StringIO(text.replace("\n", "\n\n")))
+        for voter_id in [*log, absent]:
+            expected = [req for req in full if req.voter_id == voter_id]
+            assert read_request_log(io.StringIO(text), voter_id) == expected
+        # A second line for the voter looked up is still BadFraming.
+        req = data.draw(st.sampled_from(requests))
+        with pytest.raises(BadFraming):
+            read_request_log(io.StringIO(text + format_request(req) + "\n"), req.voter_id)
 
 
 @pytest.fixture(scope="module")
