@@ -181,13 +181,8 @@ def read_request_log(
 
 
 def append_requests(batch: BoardBatch, requests: Iterable[SigningRequest]) -> None:
-    """Append each request the batch does not hold yet as a REQUEST record,
-    so publishing the same log twice adds nothing the second time."""
-    on_board = {rec.payload for rec in batch.records if rec.kind == "REQUEST"}
-    for req in requests:
-        line = format_request(req).encode()
-        if line not in on_board:
-            batch.append("REQUEST", line)
+    """Append each request the batch does not hold yet as a REQUEST record."""
+    batch.append_new("REQUEST", (format_request(req).encode() for req in requests))
 
 
 def format_response(result: int | ProtocolError) -> str:

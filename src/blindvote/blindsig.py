@@ -269,8 +269,7 @@ def _random_prime(bits: int, rng: random.Random) -> int:
         cand = rng.getrandbits(bits)
         cand |= 1 << (bits - 1)  # exact bit length
         cand |= 1  # odd
-        if bits >= 3:
-            cand |= 1 << (bits - 2)  # high second bit so p*q keeps full width
+        cand |= 1 << (bits - 2)  # high second bit so p*q keeps full width
         if _is_probable_prime(cand, rng):
             return cand
 

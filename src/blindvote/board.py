@@ -27,7 +27,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ChainBroken
 
@@ -106,6 +106,15 @@ class BoardBatch:
         self.records.append(rec)
         self.added.append(rec)
         return rec
+
+    def append_new(self, kind: str, payloads: Iterable[bytes]) -> None:
+        """Append a `kind` record for each payload that no `kind` record in
+        the batch holds yet, so publishing the same payloads twice adds
+        nothing the second time."""
+        held = {rec.payload for rec in self.records if rec.kind == kind}
+        for payload in payloads:
+            if payload not in held:
+                self.append(kind, payload)
 
 
 class BulletinBoard:

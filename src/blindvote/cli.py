@@ -257,11 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = Path(args.file).read_text(encoding="utf-8", errors="replace")
         payload = text.strip().rpartition("\n")[2]  # the last line; empty: BadFraming
     sel = voter.verify_ballot(pk, config, payload)
-    party = config.party(sel.party_index)
     print(f"VALID election {config.election_id.hex()}")
-    print(f"PARTY: {party.name}")
-    for i, cand in enumerate(party.candidates):
-        print(f"{'FOR' if i in sel.approvals else 'AGAINST'} {cand}")
+    sys.stdout.write(voter.stance_text(config, sel))
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ and is normative for this codebase only.
 
 from __future__ import annotations
 
-from .election import ElectionConfig, VoteSelection
+from .election import ELECTION_ID_LEN, ElectionConfig, VoteSelection
 from .errors import (
     BadStructure,
     BadVersion,
@@ -46,7 +46,8 @@ MASK_LEN = 19
 MASK_BITS = MASK_LEN * 8  # 152, the per-party candidate ceiling
 RESERVED_OFFSET = 29
 PAD_TAG = 0x56
-PAD_OVERHEAD = 1 + 1 + 8 + 1 + BALLOT_LEN  # everything except the filler
+FILLER_OFFSET = 2 + ELECTION_ID_LEN  # after 0x00, the tag and the election id
+PAD_OVERHEAD = FILLER_OFFSET + 1 + BALLOT_LEN  # everything except the filler
 MIN_MODULUS_LEN = PAD_OVERHEAD + 1  # at least one filler byte
 
 
@@ -104,8 +105,8 @@ def pad(block: bytes, election_id: bytes, modulus_len: int) -> bytes:
     """Embed a ballot block in the fixed signing structure of `modulus_len` bytes."""
     if len(block) != BALLOT_LEN:
         raise ValueError(f"ballot block must be {BALLOT_LEN} bytes")
-    if len(election_id) != 8:
-        raise ValueError("election id must be 8 bytes")
+    if len(election_id) != ELECTION_ID_LEN:
+        raise ValueError(f"election id must be {ELECTION_ID_LEN} bytes")
     if modulus_len < MIN_MODULUS_LEN:
         raise ModulusTooSmall(
             f"modulus of {modulus_len} bytes cannot carry the padded ballot "
@@ -129,13 +130,14 @@ def unpad(padded: bytes, expected_election_id: bytes) -> bytes:
     if padded[1] != PAD_TAG:
         raise BadStructure(f"tag byte is 0x{padded[1]:02x}, expected 0x{PAD_TAG:02x}")
     sep_at = k - BALLOT_LEN - 1
-    if padded[10:sep_at] != b"\xff" * (sep_at - 10):
+    if padded[FILLER_OFFSET:sep_at] != b"\xff" * (sep_at - FILLER_OFFSET):
         raise BadStructure("filler is not all 0xFF")
     if padded[sep_at] != 0x00:
         raise BadStructure("missing 0x00 separator before the ballot block")
-    if padded[2:10] != expected_election_id:
+    election_id = padded[2:FILLER_OFFSET]
+    if election_id != expected_election_id:
         raise WrongElection(
-            f"padded for election {padded[2:10].hex()}, expected {expected_election_id.hex()}"
+            f"padded for election {election_id.hex()}, expected {expected_election_id.hex()}"
         )
     return padded[sep_at + 1 :]
 

@@ -42,27 +42,26 @@ def _check_name(field_path: str, name: str) -> None:
 
 @dataclass(frozen=True)
 class Party:
-    index: int
     name: str
     candidates: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        _check_name(f"parties[{self.index}].name", self.name)
+        _check_name("party name", self.name)
         if not 1 <= len(self.candidates) <= MAX_CANDIDATES:
             raise InvariantViolation(
-                f"parties[{self.index}].candidates",
-                f"party must have 1..{MAX_CANDIDATES} candidates, got {len(self.candidates)}",
+                f"party {self.name}",
+                f"must have 1..{MAX_CANDIDATES} candidates, got {len(self.candidates)}",
             )
         for j, cand in enumerate(self.candidates):
-            _check_name(f"parties[{self.index}].candidates[{j}]", cand)
+            _check_name(f"party {self.name} candidates[{j}]", cand)
 
 
 @dataclass(frozen=True)
 class ElectionConfig:
     election_id: bytes
     title: str
-    parties: tuple[Party, ...]
+    parties: tuple[Party, ...]  # a party's number is its position here
     created_at: str = ""
 
     def __post_init__(self):
@@ -77,11 +76,6 @@ class ElectionConfig:
             raise InvariantViolation(
                 "parties", f"need 1..{MAX_PARTIES} parties, got {len(self.parties)}"
             )
-        for pos, party in enumerate(self.parties):
-            if party.index != pos:
-                raise InvariantViolation(
-                    f"parties[{pos}].index", f"must equal list position, got {party.index}"
-                )
         if self.created_at:
             try:
                 datetime.date.fromisoformat(self.created_at)
@@ -220,12 +214,11 @@ def parse_config(text: str) -> ElectionConfig:
 
     if election_id is None:
         raise ParseError("missing ELECTION line")
-    party_objs = tuple(
-        Party(index=i, name=name, candidates=tuple(cands))
-        for i, (name, cands) in enumerate(parties)
-    )
     return ElectionConfig(
-        election_id=election_id, title=title, parties=party_objs, created_at=created_at
+        election_id=election_id,
+        title=title,
+        parties=tuple(Party(name, cands) for name, cands in parties),
+        created_at=created_at,
     )
 
 

@@ -39,10 +39,13 @@ class TallyResult:
     election_id: bytes
     party_votes: tuple[int, ...]
     candidate_votes: tuple[tuple[int, ...], ...]
-    accepted: int
     accepted_payloads: tuple[str, ...]
     rejected: tuple[tuple[int, str], ...]  # (box index, error code)
     duplicates: tuple[int, ...]  # box indices of repeat occurrences
+
+    @property
+    def accepted(self) -> int:
+        return len(self.accepted_payloads)
 
     @property
     def total(self) -> int:
@@ -120,7 +123,6 @@ def tally(pk: PublicKey, config: ElectionConfig, box: Iterable[str]) -> TallyRes
         election_id=config.election_id,
         party_votes=tuple(party_votes),
         candidate_votes=tuple(tuple(row) for row in candidate_votes),
-        accepted=len(accepted_payloads),
         accepted_payloads=tuple(accepted_payloads),
         rejected=tuple(rejected),
         duplicates=tuple(duplicates),
@@ -185,16 +187,10 @@ def format_tally_report(config: ElectionConfig, result: TallyResult) -> str:
         f"ballots total={result.total} accepted={result.accepted} "
         f"rejected={len(result.rejected)} duplicates={len(result.duplicates)}"
     )
-    for party in config.parties:
-        lines.append(
-            f"party {party.index} votes={result.party_votes[party.index]} "
-            f"name={party.name}"
-        )
+    for pi, party in enumerate(config.parties):
+        lines.append(f"party {pi} votes={result.party_votes[pi]} name={party.name}")
         for ci, cand in enumerate(party.candidates):
-            lines.append(
-                f"  cand {ci} for={result.candidate_votes[party.index][ci]} "
-                f"name={cand}"
-            )
+            lines.append(f"  cand {ci} for={result.candidate_votes[pi][ci]} name={cand}")
     for idx, code in result.rejected:
         lines.append(f"rejected {idx} {code}")
     for idx in result.duplicates:
@@ -222,9 +218,12 @@ def publish_tally(
     result: TallyResult,
     audit: AuditReport,
 ) -> int:
-    """Publish the count in one batch: the audited requests the board does
-    not hold yet, one digest record per accepted ballot, then the tally and
-    audit reports. Returns the number of records added.
+    """Publish the count in one batch: the audited requests and the accepted
+    ballots' digests that the board does not hold yet, then the tally and
+    audit reports, unless nothing was added and both equal the board's last
+    TALLY and AUDIT. So a count the board already holds adds nothing, while
+    one that repeats an older count (a box cut back after a torn line) is
+    published again. Returns the number of records added.
 
     The digests go out sorted. The box holds ballots in arrival order,
     which in this simulation is request-log order, and the board lists the
@@ -232,10 +231,15 @@ def publish_tally(
     requester with the i-th ballot.
     """
     digests = sorted(voter.payload_digest(payload) for payload in result.accepted_payloads)
+    reports = {
+        "TALLY": format_tally_report(config, result).encode(),
+        "AUDIT": format_audit_report(audit).encode(),
+    }
     with board.batch() as batch:
+        last = {rec.kind: rec.payload for rec in batch.records if rec.kind in reports}
         append_requests(batch, audit.requests)
-        for digest in digests:
-            batch.append("BALLOT_DIGEST", digest.encode())
-        batch.append("TALLY", format_tally_report(config, result).encode())
-        batch.append("AUDIT", format_audit_report(audit).encode())
+        batch.append_new("BALLOT_DIGEST", (digest.encode() for digest in digests))
+        if batch.added or last != reports:
+            for kind, report in reports.items():
+                batch.append(kind, report)
     return len(batch.added)

@@ -42,21 +42,10 @@ class BallotArtifact:
 
 @dataclass(frozen=True)
 class NoteSheet:
-    """The voter's private record of what was cast."""
+    """The voter's private record of what was cast: text plus the board lookup handle."""
 
-    election_id: bytes
-    party_name: str
-    stances: tuple[tuple[str, bool], ...]
+    text: str
     payload_digest: str
-
-    @property
-    def text(self) -> str:
-        lines = [f"NOTE SHEET  election {self.election_id.hex()}"]
-        lines.append(f"PARTY: {self.party_name}")
-        for name, chosen in self.stances:
-            lines.append(f"{'FOR' if chosen else 'AGAINST'} {name}")
-        lines.append(f"LOOKUP: {self.payload_digest}")
-        return "\n".join(lines) + "\n"
 
 
 def payload_digest(payload: str) -> str:
@@ -99,29 +88,26 @@ def parse_payload(line: str, pk: PublicKey) -> int:
     return codec.bytes_to_int(raw)
 
 
+def stance_text(config: ElectionConfig, sel: VoteSelection) -> str:
+    """How a vote reads on the ballot, the note sheet and `verify`: the PARTY
+    line, then FOR or AGAINST for each of that party's candidates."""
+    party = config.party(sel.party_index)
+    stances = (
+        f"{'FOR' if i in sel.approvals else 'AGAINST'} {cand}\n"
+        for i, cand in enumerate(party.candidates)
+    )
+    return f"PARTY: {party.name}\n" + "".join(stances)
+
+
 def render_ballot_text(config: ElectionConfig, sel: VoteSelection, payload: str) -> str:
     """Deterministic printable layout: header, stance lines, payload last."""
-    party = config.party(sel.party_index)
-    lines = [f"ELECTION: {config.title}", f"PARTY: {party.name}"]
-    for i, cand in enumerate(party.candidates):
-        lines.append(f"{'FOR' if i in sel.approvals else 'AGAINST'} {cand}")
-    lines.append(payload)
-    return "\n".join(lines) + "\n"
+    return f"ELECTION: {config.title}\n{stance_text(config, sel)}{payload}\n"
 
 
-def make_note_sheet(
-    config: ElectionConfig, sel: VoteSelection, payload: str
-) -> NoteSheet:
-    party = config.party(sel.party_index)
-    stances = tuple(
-        (cand, i in sel.approvals) for i, cand in enumerate(party.candidates)
-    )
-    return NoteSheet(
-        election_id=config.election_id,
-        party_name=party.name,
-        stances=stances,
-        payload_digest=payload_digest(payload),
-    )
+def make_note_sheet(config: ElectionConfig, sel: VoteSelection, payload: str) -> NoteSheet:
+    digest = payload_digest(payload)
+    head = f"NOTE SHEET  election {config.election_id.hex()}"
+    return NoteSheet(f"{head}\n{stance_text(config, sel)}LOOKUP: {digest}\n", digest)
 
 
 def prepare_and_cast(

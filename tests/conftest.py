@@ -18,8 +18,8 @@ def make_config_2x3() -> ElectionConfig:
         election_id=FIXTURE_ELECTION_ID,
         title="Fixture Election",
         parties=(
-            Party(index=0, name="Alpha", candidates=("Anna", "Arno", "Avi")),
-            Party(index=1, name="Beta", candidates=("Ben", "Bea", "Bo")),
+            Party(name="Alpha", candidates=("Anna", "Arno", "Avi")),
+            Party(name="Beta", candidates=("Ben", "Bea", "Bo")),
         ),
     )
 
@@ -33,6 +33,19 @@ def ed25519_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPa
     elif identity._libsodium() is None:
         pytest.skip("libsodium cannot be loaded")
     assert identity.backend() == request.param
+    return request.param
+
+
+@pytest.fixture(params=("libcrypto", "pow"))
+def rsa_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch) -> str:
+    """Run the test once on each RSA arithmetic: libcrypto, and the pow
+    fallback that runs wherever libcrypto cannot be loaded. The libcrypto
+    run is skipped where libcrypto cannot be loaded."""
+    if request.param == "pow":
+        monkeypatch.setattr(blindsig, "_libcrypto", lambda: None)
+    elif blindsig._libcrypto() is None:
+        pytest.skip("libcrypto cannot be loaded")
+    assert blindsig.backend() == request.param
     return request.param
 
 

@@ -168,7 +168,6 @@ def test_03_encoding_budget(capsys):
             title="wide",
             parties=tuple(
                 Party(
-                    index=p,
                     name=f"P{p}",
                     candidates=tuple(f"P{p}C{c}" for c in range(152)),
                 )

@@ -345,7 +345,7 @@ class TestSignBlinded:
             assert sign_blinded(b, key512) == pow(b, key512.d, key512.n)
 
 
-    def test_fault_in_one_crt_half_is_withheld(self, key512, monkeypatch):
+    def test_fault_in_one_crt_half_is_withheld(self, rsa_backend, key512, monkeypatch):
         inject_crt_fault(monkeypatch)
         b = 1234567
         faulty = blindsig._private_pow(b, key512)

@@ -264,7 +264,6 @@ def test_publish_tally_replays_once(tmp_path, monkeypatch):
         election_id=config.election_id,
         party_votes=(50, 0),
         candidate_votes=((0, 0, 0), (0, 0, 0)),
-        accepted=50,
         accepted_payloads=payloads,
         rejected=(),
         duplicates=(),

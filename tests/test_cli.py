@@ -312,6 +312,28 @@ class TestVote:
         assert "rejected 0 BadFraming" in out
 
 
+def test_vote_tally_audit_verify_on_each_rsa_backend(rsa_backend, tmp_path, config_file,
+                                                    capsys):
+    d = str(tmp_path / "e")
+    rc, _, _ = run(capsys, "setup", "--dir", d, "--config", str(config_file),
+                   "--voters", "3", "--bits", "512", "--seed", "5")
+    assert rc == 0
+    for voter_id, party in (("V0001", "0"), ("V0002", "1")):
+        rc, _, _ = run(capsys, "vote", "--dir", d, "--voter", voter_id, "--party", party,
+                       "--approve", "1", "--seed", "6")
+        assert rc == 0
+    rc, out, _ = run(capsys, "tally", "--dir", d)
+    assert rc == 0
+    assert "ballots total=2 accepted=2 rejected=0 duplicates=0" in out
+    rc, out, _ = run(capsys, "audit", "--dir", d)
+    assert (rc, out.splitlines()[1:6]) == (0, [
+        "requests_total=2", "requests_valid=2", "ballots_valid=2", "discrepancy=0",
+        "cheat_flag=false",
+    ])
+    rc, out, _ = run(capsys, "verify", "--dir", d, "--file", f"{d}/ballots/V0002.txt")
+    assert (rc, out.splitlines()[1:]) == (0, ["PARTY: Beta", "AGAINST Ben", "FOR Bea", "AGAINST Bo"])
+
+
 class TestVerify:
     def test_payload_and_file_agree(self, election, capsys):
         _, out, _ = run(
@@ -404,10 +426,47 @@ class TestTallyAuditGate:
             assert rc == 0
         kinds = [line.split("|")[1]
                  for line in (election / "board.txt").read_text().splitlines()]
-        assert kinds == ["META", "REQUEST",
-                         "BALLOT_DIGEST", "TALLY", "AUDIT",
-                         "BALLOT_DIGEST", "TALLY", "AUDIT"]
+        assert kinds == ["META", "REQUEST", "BALLOT_DIGEST", "TALLY", "AUDIT"]
         assert board_verify(election / "board.txt") is None
+
+    def test_a_count_the_board_holds_adds_nothing(self, election, capsys):
+        board = election / "board.txt"
+
+        def tally_boards(k: int) -> list[bytes]:
+            boards = []
+            for _ in range(k):
+                rc, _, _ = run(capsys, "tally", "--dir", str(election))
+                assert rc == 0
+                boards.append(board.read_bytes())
+            return boards
+
+        self.cast(capsys, election, "V0001", 0, 21)
+        once, *again = tally_boards(3)
+        assert again == [once, once]
+        self.cast(capsys, election, "V0002", 1, 22)
+        first, second = tally_boards(2)
+        assert second == first
+        added = BulletinBoard(board).records()[len(once.splitlines()):]
+        assert [rec.kind for rec in added] == ["REQUEST", "BALLOT_DIGEST", "TALLY", "AUDIT"]
+        assert board_verify(board) is None
+
+    def test_a_count_that_repeats_an_older_one_is_published(self, election, capsys):
+        # Against the board's last TALLY, not any earlier one: a box cut back
+        # after a torn line gives the count before the tear again.
+        self.cast(capsys, election, "V0001", 0, 21)
+        box = election / "ballotbox.txt"
+        before = box.read_bytes()
+        reports = []
+        for tail in (b"", b"BPV1|torn", b""):
+            box.write_bytes(before + tail)
+            rc, out, _ = run(capsys, "tally", "--dir", str(election))
+            assert rc == 0
+            reports.append(out)
+        assert reports[0] == reports[2] != reports[1]
+        records = BulletinBoard(election / "board.txt").records()
+        tallies = [rec.payload.decode() for rec in records if rec.kind == "TALLY"]
+        assert tallies == reports
+        assert [rec.kind for rec in records].count("AUDIT") == 3
 
     def test_failed_write_leaves_the_board_as_it_was(self, election, capsys, monkeypatch):
         # A count is one batch: a write that fails at its TALLY record

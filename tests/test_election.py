@@ -54,7 +54,6 @@ class TestValidateSelection:
                 title="Enum",
                 parties=tuple(
                     Party(
-                        index=p,
                         name=f"P{p}",
                         candidates=tuple(f"C{p}.{c}" for c in range(n_cands)),
                     )
@@ -86,39 +85,31 @@ class TestConfigInvariants:
             ElectionConfig(
                 election_id=b"\x01" * 7,
                 title="T",
-                parties=(Party(index=0, name="P", candidates=("C",)),),
+                parties=(Party(name="P", candidates=("C",)),),
             )
 
     def test_party_limit_255(self):
         parties = tuple(
-            Party(index=i, name=f"P{i}", candidates=("C",)) for i in range(256)
+            Party(name=f"P{i}", candidates=("C",)) for i in range(256)
         )
         with pytest.raises(InvariantViolation):
             ElectionConfig(election_id=b"\x01" * 8, title="T", parties=parties)
 
     def test_candidate_limit_152(self):
         with pytest.raises(InvariantViolation):
-            Party(index=0, name="P", candidates=tuple(f"C{i}" for i in range(153)))
+            Party(name="P", candidates=tuple(f"C{i}" for i in range(153)))
         # 152 is the last legal count
-        Party(index=0, name="P", candidates=tuple(f"C{i}" for i in range(152)))
+        Party(name="P", candidates=tuple(f"C{i}" for i in range(152)))
 
     def test_no_parties_rejected(self):
         with pytest.raises(InvariantViolation):
             ElectionConfig(election_id=b"\x01" * 8, title="T", parties=())
 
-    def test_index_must_match_position(self):
-        with pytest.raises(InvariantViolation):
-            ElectionConfig(
-                election_id=b"\x01" * 8,
-                title="T",
-                parties=(Party(index=1, name="P", candidates=("C",)),),
-            )
-
     def test_empty_names_rejected(self):
         with pytest.raises(InvariantViolation):
-            Party(index=0, name="", candidates=("C",))
+            Party(name="", candidates=("C",))
         with pytest.raises(InvariantViolation):
-            Party(index=0, name="P", candidates=("",))
+            Party(name="P", candidates=("",))
 
     @pytest.mark.parametrize("bad", ["A\nB", "A\rB", " A", "A\t", "A\ud800"])
     def test_names_no_config_file_can_hold_rejected(self, bad):
@@ -126,19 +117,19 @@ class TestConfigInvariants:
             ElectionConfig(
                 election_id=b"\x01" * 8,
                 title=bad,
-                parties=(Party(index=0, name="P", candidates=("C",)),),
+                parties=(Party(name="P", candidates=("C",)),),
             )
         with pytest.raises(InvariantViolation):
-            Party(index=0, name=bad, candidates=("C",))
+            Party(name=bad, candidates=("C",))
         with pytest.raises(InvariantViolation):
-            Party(index=0, name="P", candidates=("C", bad))
+            Party(name="P", candidates=("C", bad))
 
     def test_bad_created_at(self):
         with pytest.raises(InvariantViolation):
             ElectionConfig(
                 election_id=b"\x01" * 8,
                 title="T",
-                parties=(Party(index=0, name="P", candidates=("C",)),),
+                parties=(Party(name="P", candidates=("C",)),),
                 created_at="not-a-date",
             )
 
@@ -205,7 +196,6 @@ class TestConfigFile:
             n_parties = rng.randrange(1, 6)
             parties = tuple(
                 Party(
-                    index=p,
                     name=f"Party {p}",
                     candidates=tuple(
                         f"Cand {p}.{c}" for c in range(rng.randrange(1, 7))

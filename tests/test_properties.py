@@ -85,8 +85,7 @@ def election_configs(draw):
     return ElectionConfig(
         election_id=draw(st.binary(min_size=8, max_size=8)),
         title=draw(st.just("") | names),
-        parties=tuple(Party(index=i, name=name, candidates=tuple(cands))
-                      for i, (name, cands) in enumerate(parties)),
+        parties=tuple(Party(name=name, candidates=tuple(cands)) for name, cands in parties),
         created_at=draw(st.sampled_from(["", "2026-08-14"])),
     )
 
@@ -98,7 +97,7 @@ def elections_and_selections(draw):
         election_id=draw(st.binary(min_size=8, max_size=8)),
         title="Property Election",
         parties=tuple(
-            Party(index=i, name=f"P{i}", candidates=tuple(f"C{j}" for j in range(n)))
+            Party(name=f"P{i}", candidates=tuple(f"C{j}" for j in range(n)))
             for i, n in enumerate(sizes)
         ),
     )

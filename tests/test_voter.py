@@ -241,8 +241,8 @@ class TestNoteSheet:
         config = make_config_2x3()
         sel = VoteSelection(party_index=1, approvals=frozenset({0}))
         note = make_note_sheet(config, sel, "BPV1|SOMEPAYLOAD")
-        assert note.party_name == "Beta"
-        assert note.stances == (("Ben", True), ("Bea", False), ("Bo", False))
+        stances = ["PARTY: Beta", "FOR Ben", "AGAINST Bea", "AGAINST Bo"]
+        assert note.text.splitlines()[1:5] == stances
         assert note.payload_digest == payload_digest("BPV1|SOMEPAYLOAD")
         assert len(note.payload_digest) == 16  # 8 bytes hex
         text = note.text
