@@ -20,8 +20,9 @@ combinations of valid messages break the fixed filler bytes.
 Keys here are single purpose. Never sign arbitrary attacker-chosen data
 with a ballot key.
 
-Arithmetic. Every modular exponentiation, and the one inverse on a
-secret, runs in the system libcrypto, loaded through ctypes on first use:
+Arithmetic. Every modular exponentiation runs in the system libcrypto,
+and the one inverse on a secret in the system libgmp, each loaded through
+ctypes on first use:
 
     sign_blinded    b^d mod N, one call    constant time: d, p, q are secret
                     on the key's RSA handle
@@ -29,10 +30,12 @@ secret, runs in the system libcrypto, loaded through ctypes on first use:
                     on the key's chain
     blind           r^e, on the key's      constant time: r is the blinding factor
                     chain
-    unblind         s_b * r^-1, one pass:  blinded: r is the blinding factor;
-                    t = r*u for a fresh    BN_mod_inverse sees only t, whose
-                    unit u, t^-1, then     step count follows Euclid on t, a
-                    t^-1 * u * s_b         uniform unit independent of r
+    unblind         s_b * r^-1: t = r*u    blinded: r is the blinding factor;
+                    for a fresh unit u,    mpz_invert sees only t, whose
+                    t^-1 by libgmp's       step count follows Euclid on t, a
+                    mpz_invert, then       uniform unit independent of r
+                    t^-1 * u * s_b on
+                    the key's context
     keygen          a^d mod n for each     constant time: n is a candidate for a
                     Miller-Rabin witness,  secret prime
                     two per call after
@@ -63,16 +66,20 @@ The other constant-time calls are BN_mod_exp_mont_consttime and its
 two-exponentiation form BN_mod_exp_mont_consttime_x2, with
 BN_FLG_CONSTTIME set on every operand, the modulus included; the
 variable-time BN_mod_exp_mont gets unflagged copies, since one flagged
-operand sends it down its constant-time path. BN_mod_inverse with that flag
-avoids branches on secret bits within each step, but its number of steps
-follows Euclid's algorithm on its input: in a dudect-style test on a
-2048-bit key, inverting r = 2^1000+1 took half the time of a random r
-(Welch's t = -109). So unblind inverts only r*u for a fresh unit u, a
-uniform unit whatever r is (t = 2.1 in the same test). The variable-time
-BN_mod_exp_mont only ever sees a signature raised to the public e, and a
-signature is the ballot itself, public as it is once mailed: the box and
-the count publish it. (The voter's device also checks its fresh ballot
-this way, just before printing the ballot it will mail.)
+operand sends it down its constant-time path. An inverse's number of
+steps follows Euclid's algorithm on its input, whichever library runs it:
+in a dudect-style test on a 2048-bit key, libcrypto's BN_mod_inverse on
+r = 2^1000+1 took half the time of a random r (Welch's t = -109). So
+unblind inverts only t = r*u mod N for a fresh unit u, a uniform unit
+whatever r is: only t and N reach mpz_invert, which is not constant time
+and need not be. In the same test a fixed full-width r read |t| <= 1.2;
+r = 2^1000+1 read up to t = 5.8, about 0.2 of 70 us, from the product
+r*u and not the inverse: it is the chain's caveat above, a value with a
+zero top limb. The variable-time BN_mod_exp_mont only ever sees a
+signature raised to the public e, and a signature is the ballot itself,
+public as it is once mailed: the box and the count publish it. (The
+voter's device also checks its fresh ballot this way, just before
+printing the ballot it will mail.)
 
 Key search. A candidate is divided by the primes up to 37, then, above
 4999, screened by one gcd against the product of the odd primes 41..4999
@@ -90,12 +97,14 @@ candidate.
 The libcrypto backend needs OpenSSL 3.0 or later, the first with
 BN_mod_exp_mont_consttime_x2; an older libcrypto counts as unusable. It is
 opened as libcrypto.so.3, and only where that fails through
-ctypes.util.find_library, which runs ldconfig in a child process.
-Where libcrypto cannot be loaded, Python's pow does the same arithmetic
-with identical results; it is not constant time. backend() names the one
-in use. Montgomery form needs an odd modulus, so PublicKey refuses an even
-one. The int/bytes conversions around the libcrypto calls are plain Python
-on secret values.
+ctypes.util.find_library, which runs ldconfig in a child process; libgmp
+likewise as libgmp.so.10, then find_library("gmp"). Where libcrypto cannot
+be loaded, Python's pow does the same arithmetic with identical results,
+and unblind's products are Python ints; where libgmp cannot, pow(t, -1, N)
+inverts the same t. Neither fallback is constant time. backend() names the
+exponentiation backend in use. Montgomery form needs an odd modulus, so
+PublicKey refuses an even one. The int/bytes conversions around the
+library calls are plain Python on secret values.
 
 Before a signature leaves sign_blinded it is checked with the public
 exponent, s^e == b. libcrypto checks its own CRT result as well; a
@@ -117,6 +126,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 
 from .election import hex_int, record_lines
 from .errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
+from .native import open_library
 
 if TYPE_CHECKING:
     import ctypes
@@ -353,31 +363,25 @@ def sign_blinded(b: int, key: BlindKeyPair) -> int:
 def unblind(s_blinded: int, r: int, pub: PublicKey) -> int:
     """Strip the blinding factor: s_blinded * r^-1 mod n.
 
-    libcrypto inverts r*u, not r, for a fresh unit u from the system's
-    random source, never from a caller's rng; the result is the unique
-    s_blinded * r^-1, so seeded runs do not change. Raises FactorNotUnit
-    when r is not a unit in [1, n).
+    The inverse, libgmp's mpz_invert where it loads, sees t, r times a
+    fresh unit u from the system's random source, never r; u never comes
+    from a caller's rng. The result is the unique s_blinded * r^-1, so
+    seeded runs do not change. Raises FactorNotUnit when r is not a unit
+    in [1, n).
     """
     if not 0 <= s_blinded < pub.n:
         raise MessageOutOfRange("blinded signature out of range")
     if not 1 <= r < pub.n:
         raise FactorNotUnit("blinding factor must be an invertible element in [1, n)")
-    lib = _libcrypto()
-    if lib is None:
-        if gcd(r, pub.n) != 1:
-            raise FactorNotUnit("cannot unblind with a non-invertible factor")
-        return s_blinded * pow(r, -1, pub.n) % pub.n
-    ctx, draw = _context(lib, pub), random.SystemRandom()
+    draw = random.SystemRandom()
     while True:
         u = draw.randrange(1, pub.n)
-        s = _unblind_with(lib, ctx, s_blinded, r, u)
-        if s is not None:
-            return s
-        # r*u has no inverse, or BN_mod_inverse could not allocate.
+        t_inv = _inverse(_blinded_factor(r, u, pub), pub.n)
+        if t_inv is not None:
+            return _unblind_with(s_blinded, u, t_inv, pub)
+        # t has no inverse: r is not a unit, or u is not.
         if gcd(r, pub.n) != 1:
             raise FactorNotUnit("cannot unblind with a non-invertible factor")
-        if gcd(u, pub.n) == 1:
-            raise MemoryError("libcrypto BN_mod_inverse failed")
 
 
 def verify_recover(s: int, pub: PublicKey) -> int:
@@ -406,58 +410,93 @@ def _libcrypto() -> ctypes.CDLL | None:
     when it cannot be loaded. Loaded on first use, so importing opens no
     file."""
     import ctypes
-    import ctypes.util
 
     # macOS's /usr/lib/libcrypto aborts any process that loads it by name.
     if sys.platform == "darwin":
         return None
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
-    try:
+    return open_library(_LIBCRYPTO_SONAME, "crypto", (
+        ("BN_CTX_new", ptr, []),
+        ("BN_CTX_free", None, [ptr]),
+        ("BN_clear", None, [ptr]),
+        ("BN_clear_free", None, [ptr]),
+        ("BN_set_flags", None, [ptr, c_int]),
+        ("BN_copy", ptr, [ptr, ptr]),
+        ("BN_bin2bn", ptr, [ctypes.c_char_p, c_int, ptr]),
+        ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
+        ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
+        ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
+        ("BN_mod_exp_mont_consttime_x2", c_int, [ptr] * 11),
+        ("BN_MONT_CTX_new", ptr, []),
+        ("BN_MONT_CTX_free", None, [ptr]),
+        ("BN_MONT_CTX_set", c_int, [ptr, ptr, ptr]),
+        ("BN_to_montgomery", c_int, [ptr] * 4),
+        ("BN_from_montgomery", c_int, [ptr] * 4),
+        ("BN_mod_mul_montgomery", c_int, [ptr] * 5),
+        ("RSA_new", ptr, []),
+        ("RSA_free", None, [ptr]),
+        ("RSA_set0_key", c_int, [ptr, ptr, ptr, ptr]),
+        ("RSA_set0_factors", c_int, [ptr, ptr, ptr]),
+        ("RSA_set0_crt_params", c_int, [ptr, ptr, ptr, ptr]),
+        ("RSA_private_decrypt", c_int, [c_int, ctypes.c_char_p, ptr, ptr, c_int]),
+    ))
+
+
+# GMP 5 and 6's soname.
+_LIBGMP_SONAME = "libgmp.so.10"
+
+
+@functools.cache
+def _libgmp() -> ctypes.CDLL | None:
+    """The system libgmp with the mpz calls that _inverse uses declared, or
+    None when it cannot be loaded. Loaded on first use, like _libcrypto."""
+    import ctypes
+
+    ptr, c_int, size_t = ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t
+    return open_library(_LIBGMP_SONAME, "gmp", (
+        ("__gmpz_init", None, [ptr]),
+        ("__gmpz_clear", None, [ptr]),
+        ("__gmpz_import", None, [ptr, size_t, c_int, size_t, c_int, size_t, ptr]),
+        ("__gmpz_export", ptr, [ptr, ptr, c_int, size_t, c_int, size_t, ptr]),
+        ("__gmpz_invert", c_int, [ptr, ptr, ptr]),
+    ))
+
+
+def _inverse(t: int, n: int) -> int | None:
+    """t^-1 mod n for t in [0, n), or None when t is not a unit: libgmp's
+    mpz_invert, or pow where libgmp cannot load. Neither is constant time,
+    so only unblind's blinded t comes here."""
+    gmp = _libgmp()
+    if gmp is None:
         try:
-            lib = ctypes.CDLL(_LIBCRYPTO_SONAME)
-        except OSError:
-            # find_library runs ldconfig -p in a child process, so it only
-            # looks where the soname does not open.
-            name = ctypes.util.find_library("crypto")
-            if name is None:
-                return None
-            lib = ctypes.CDLL(name)
-        for fname, restype, argtypes in (
-            ("BN_CTX_new", ptr, []),
-            ("BN_CTX_free", None, [ptr]),
-            ("BN_clear", None, [ptr]),
-            ("BN_clear_free", None, [ptr]),
-            ("BN_set_flags", None, [ptr, c_int]),
-            ("BN_copy", ptr, [ptr, ptr]),
-            ("BN_bin2bn", ptr, [ctypes.c_char_p, c_int, ptr]),
-            ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
-            ("BN_mod_exp_mont", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
-            ("BN_mod_exp_mont_consttime", c_int, [ptr, ptr, ptr, ptr, ptr, ptr]),
-            ("BN_mod_exp_mont_consttime_x2", c_int, [ptr] * 11),
-            ("BN_mod_inverse", ptr, [ptr, ptr, ptr, ptr]),
-            ("BN_MONT_CTX_new", ptr, []),
-            ("BN_MONT_CTX_free", None, [ptr]),
-            ("BN_MONT_CTX_set", c_int, [ptr, ptr, ptr]),
-            ("BN_to_montgomery", c_int, [ptr] * 4),
-            ("BN_from_montgomery", c_int, [ptr] * 4),
-            ("BN_mod_mul_montgomery", c_int, [ptr] * 5),
-            ("RSA_new", ptr, []),
-            ("RSA_free", None, [ptr]),
-            ("RSA_set0_key", c_int, [ptr, ptr, ptr, ptr]),
-            ("RSA_set0_factors", c_int, [ptr, ptr, ptr]),
-            ("RSA_set0_crt_params", c_int, [ptr, ptr, ptr, ptr]),
-            ("RSA_private_decrypt", c_int, [c_int, ctypes.c_char_p, ptr, ptr, c_int]),
-        ):
-            fn = getattr(lib, fname)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):  # not loadable, or too old a libcrypto
-        return None
-    return lib
+            return pow(t, -1, n)
+        except ValueError:
+            return None
+    import ctypes
+
+    width = (n.bit_length() + 7) // 8
+    mpz = 2 * ctypes.sizeof(ctypes.c_int) + ctypes.sizeof(ctypes.c_void_p)  # mpz_t: 2 ints, limbs
+    zs = ctypes.create_string_buffer(3 * mpz)
+    out, t_z, n_z = (ctypes.addressof(zs) + i * mpz for i in range(3))
+    for z in (out, t_z, n_z):
+        gmp.__gmpz_init(z)
+    try:
+        # Whole big-endian byte strings: order 1, 1-byte words, endian 1, no nails.
+        for z, value in ((t_z, t), (n_z, n)):
+            gmp.__gmpz_import(z, width, 1, 1, 1, 0, value.to_bytes(width, "big"))
+        if not gmp.__gmpz_invert(out, t_z, n_z):
+            return None
+        raw, count = ctypes.create_string_buffer(width), ctypes.c_size_t()
+        gmp.__gmpz_export(raw, ctypes.byref(count), 1, 1, 1, 0, out)
+        return int.from_bytes(raw.raw[: count.value], "big")
+    finally:
+        for z in (out, t_z, n_z):
+            gmp.__gmpz_clear(z)
 
 
 def backend() -> str:
-    """Which arithmetic runs the exponentiations and r^-1: "libcrypto"
-    or "pow" (the fallback)."""
+    """Which arithmetic runs the exponentiations: "libcrypto" or "pow"
+    (the fallback). _libgmp() tells whether libgmp runs unblind's inverse."""
     return "pow" if _libcrypto() is None else "libcrypto"
 
 
@@ -651,26 +690,38 @@ def _public_pow(s: int, pub: PublicKey) -> int:
     return ctx.call(lib, mod_exp, ctx.plain[:3], (s, pub.e))[0]
 
 
-def _unblind_with(lib: ctypes.CDLL, ctx: _Context, s_blinded: int, r: int, u: int) -> int | None:
-    """s_blinded * r^-1 mod n for r, u in [1, n), in one libcrypto pass on
-    the key's context, where MM(a, b) = a*b/R: the inverse sees t =
-    r*u/R^2, never r, and MM(MM(s_blinded, u), t^-1) = s_blinded/r. None
-    when t has no inverse."""
-    mul, from_mont = lib.BN_mod_mul_montgomery, lib.BN_from_montgomery
-    mont, bn_ctx, inverted = ctx.mont, ctx.bn_ctx, False
+def _blinded_factor(r: int, u: int, pub: PublicKey) -> int:
+    """unblind's t for r, u in [1, n): a uniform unit whenever r and u are
+    units, whatever r is. On the key's flagged scratch it is MM(r, u)/R =
+    r*u/R^2 mod n, where MM(a, b) = a*b/R is BN_mod_mul_montgomery; where
+    libcrypto cannot load, (r + n) * u mod n, whose multiplication does not
+    cost what r's digit count says, as in random_unit."""
+    lib = _libcrypto()
+    if lib is None:
+        return (r + pub.n) * u % pub.n
+    ctx = _context(lib, pub)
+    mul, mont, bn_ctx = lib.BN_mod_mul_montgomery, ctx.mont, ctx.bn_ctx
 
-    def step(out: int, s_b: int, r_bn: int, u_bn: int) -> int:
-        nonlocal inverted
-        if not (mul(out, r_bn, u_bn, mont, bn_ctx) and from_mont(out, out, mont, bn_ctx)):
-            return 0
-        # t^-1 overwrites r, which the step no longer needs.
-        inverted = bool(lib.BN_mod_inverse(r_bn, out, ctx.n_flagged, bn_ctx))
-        if not inverted:
-            return 1  # the step ends here, and its output is dropped
-        return mul(out, s_b, u_bn, mont, bn_ctx) and mul(out, out, r_bn, mont, bn_ctx)
+    def step(out: int, r_bn: int, u_bn: int) -> int:
+        return mul(out, r_bn, u_bn, mont, bn_ctx) and lib.BN_from_montgomery(out, out, mont, bn_ctx)
 
-    s = ctx.call(lib, step, ctx.flagged[:4], (s_blinded, r, u))[0]
-    return s if inverted else None
+    return ctx.call(lib, step, ctx.flagged[:3], (r, u))[0]
+
+
+def _unblind_with(s_blinded: int, u: int, t_inv: int, pub: PublicKey) -> int:
+    """s_blinded/r mod n from _blinded_factor's t: MM(MM(s_blinded, u),
+    t^-1) on the key's flagged scratch, s_blinded * u * t^-1 mod n where
+    libcrypto cannot load."""
+    lib = _libcrypto()
+    if lib is None:
+        return s_blinded * u % pub.n * t_inv % pub.n
+    ctx = _context(lib, pub)
+    mul, mont, bn_ctx = lib.BN_mod_mul_montgomery, ctx.mont, ctx.bn_ctx
+
+    def step(out: int, s_b: int, u_bn: int, t_inv_bn: int) -> int:
+        return mul(out, s_b, u_bn, mont, bn_ctx) and mul(out, out, t_inv_bn, mont, bn_ctx)
+
+    return ctx.call(lib, step, ctx.flagged[:4], (s_blinded, u, t_inv))[0]
 
 
 def _dump_key_lines(fields: dict[str, int]) -> str:

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import authority as authority_mod
-from . import blindsig, board as board_mod, codec, legacy, voter
+from . import blindsig, board as board_mod, codec, voter
 from .election import ElectionConfig, VoteSelection, load_config, save_config
 from .tally import (
     AuditReport,
@@ -308,6 +308,8 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_legacy_sim(args: argparse.Namespace) -> int:
+    from . import legacy  # only this command uses it: every other start-up skips it
+
     config = load_config(args.config)
     text = Path(args.scenario).read_text(encoding="utf-8", errors="replace")
     scenario = legacy.parse_scenario(text)

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, TextIO
 
 from .election import record_line
 from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
+from .native import open_library
 
 if TYPE_CHECKING:
     import ctypes
@@ -98,34 +98,16 @@ def _libsodium() -> ctypes.CDLL | None:
     """libsodium with its Ed25519 calls declared, or None when it cannot be
     loaded or initialised. Loaded on first use, so importing opens no file."""
     import ctypes
-    import ctypes.util
 
     buf, c_int, ull = ctypes.c_char_p, ctypes.c_int, ctypes.c_ulonglong
-    try:
-        try:
-            if sys.platform == "darwin":
-                # dlopen there searches the working directory for a bare name.
-                raise OSError("macOS: find_library only")
-            lib = ctypes.CDLL(_LIBSODIUM_SONAME)
-        except OSError:
-            # find_library runs ldconfig -p in a child process, so it only
-            # looks where the soname does not open.
-            name = ctypes.util.find_library("sodium")
-            if name is None:
-                return None
-            lib = ctypes.CDLL(name)
-        for fname, restype, argtypes in (
-            ("sodium_init", c_int, []),
-            ("sodium_memzero", None, [buf, ctypes.c_size_t]),
-            ("crypto_sign_ed25519_seed_keypair", c_int, [buf, buf, buf]),
-            ("crypto_sign_ed25519_detached", c_int, [buf, ctypes.c_void_p, buf, ull, buf]),
-            ("crypto_sign_ed25519_verify_detached", c_int, [buf, buf, ull, buf]),
-        ):
-            fn = getattr(lib, fname)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):  # not loadable, or not libsodium
-        return None
-    return lib if lib.sodium_init() >= 0 else None
+    lib = open_library(_LIBSODIUM_SONAME, "sodium", (
+        ("sodium_init", c_int, []),
+        ("sodium_memzero", None, [buf, ctypes.c_size_t]),
+        ("crypto_sign_ed25519_seed_keypair", c_int, [buf, buf, buf]),
+        ("crypto_sign_ed25519_detached", c_int, [buf, ctypes.c_void_p, buf, ull, buf]),
+        ("crypto_sign_ed25519_verify_detached", c_int, [buf, buf, ull, buf]),
+    ))
+    return lib if lib is not None and lib.sodium_init() >= 0 else None
 
 
 def backend() -> str:

@@ -49,6 +49,18 @@ def rsa_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch)
     return request.param
 
 
+@pytest.fixture(params=("libgmp", "pow"))
+def inverse_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch) -> str:
+    """Run the test once on each of unblind's inverses: libgmp's mpz_invert,
+    and the pow fallback that runs wherever libgmp cannot be loaded. The
+    libgmp run is skipped where libgmp cannot be loaded."""
+    if request.param == "pow":
+        monkeypatch.setattr(blindsig, "_libgmp", lambda: None)
+    elif blindsig._libgmp() is None:
+        pytest.skip("libgmp cannot be loaded")
+    return request.param
+
+
 @pytest.fixture
 def config2x3() -> ElectionConfig:
     return make_config_2x3()

@@ -504,13 +504,11 @@ class TestContext:
     @needs_libcrypto
     def test_secret_operands_flagged_and_verify_operands_not(self, key512, monkeypatch):
         # BN_mod_exp_mont takes its constant-time path when any operand
-        # carries the flag, at several times the cost; BN_mod_inverse takes
-        # its branching path when its operands do not.
+        # carries the flag, at several times the cost.
         lib = blindsig._libcrypto()
         get_flags = ctypes.CDLL(lib._name).BN_get_flags
         get_flags.restype, get_flags.argtypes = ctypes.c_int, [ctypes.c_void_p, ctypes.c_int]
         bignum_args = {
-            "BN_mod_inverse": (0, 1, 2),
             "BN_mod_exp_mont_consttime": (0, 1, 2, 3),
             "BN_mod_exp_mont_consttime_x2": (0, 1, 2, 3, 5, 6, 7, 8),
             "BN_mod_mul_montgomery": (0, 1, 2),
@@ -531,7 +529,6 @@ class TestContext:
         assert verify_recover(s, pub) == 1234567
         keygen(256, random.Random(5))
         assert flags == {
-            "BN_mod_inverse": {True},
             "BN_mod_exp_mont_consttime": {True},
             "BN_mod_exp_mont_consttime_x2": {True},
             "BN_mod_mul_montgomery": {True},
@@ -664,6 +661,8 @@ def opens(soname: str) -> bool:
 @pytest.mark.parametrize("module, loader, soname, name", [
     pytest.param(blindsig, "_libcrypto", "libcrypto.so.3", "libcrypto", id="libcrypto"),
     pytest.param(identity, "_libsodium", "libsodium.so.23", "libsodium", id="libsodium"),
+    # libgmp runs only unblind's inverse, which backend() does not name.
+    pytest.param(blindsig, "_libgmp", "libgmp.so.10", None, id="libgmp"),
 ])
 def test_loaded_by_soname_without_a_child_process(monkeypatch, module, loader, soname, name):
     # find_library runs ldconfig -p (then gcc or ld) in a child process.
@@ -676,10 +675,38 @@ def test_loaded_by_soname_without_a_child_process(monkeypatch, module, loader, s
     monkeypatch.setattr(subprocess, "Popen", no_child)
     getattr(module, loader).cache_clear()
     try:
-        assert module.backend() == name
+        assert name is None or module.backend() == name
         assert getattr(module, loader)()._name == soname
     finally:
         getattr(module, loader).cache_clear()
+
+
+@pytest.mark.parametrize("module, loader, soname, name", [
+    pytest.param(identity, "_libsodium", "libsodium.so.23", "sodium", id="libsodium"),
+    pytest.param(blindsig, "_libgmp", "libgmp.so.10", "gmp", id="libgmp"),
+])
+def test_macos_opens_no_bare_name(monkeypatch, module, loader, soname, name):
+    # dlopen on macOS searches the working directory for a bare name, so a
+    # file called libgmp.so.10 there would be loaded into a voter's process.
+    opened, asked = [], []
+
+    def cdll(path, *args, **kwargs):
+        opened.append(path)
+        raise OSError(f"not opened: {path}")
+
+    def find_library(lib):
+        asked.append(lib)
+        return f"/usr/local/lib/lib{lib}.dylib"
+
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library", find_library)
+    getattr(module, loader).cache_clear()
+    try:
+        assert getattr(module, loader)() is None
+    finally:
+        getattr(module, loader).cache_clear()
+    assert (asked, opened) == ([name], [f"/usr/local/lib/lib{name}.dylib"])
 
 
 class TestUnblindAndVerify:
@@ -701,22 +728,18 @@ class TestUnblindAndVerify:
 
     def test_inverse_sees_a_fresh_blinded_value_and_no_caller_rng(self, key512,
                                                                     monkeypatch):
-        lib = blindsig._libcrypto()
-        if lib is None:
-            pytest.skip("the pow fallback inverts r itself")
         pub, n = key512.public, key512.n
         rng = random.Random(9)
         r, s_b = random_unit(n, rng), rng.randrange(n)
         inverted = []
-        real = lib.BN_mod_inverse
+        real = blindsig._inverse
 
-        def spy(ret: int, a: int, mod: int, ctx: int) -> int:
-            buf = ctypes.create_string_buffer(pub.byte_length)
-            assert lib.BN_bn2binpad(a, buf, pub.byte_length) == pub.byte_length
-            inverted.append(int.from_bytes(buf.raw, "big"))
-            return real(ret, a, mod, ctx)
+        def spy(t: int, mod: int) -> int | None:
+            assert mod == n
+            inverted.append(t)
+            return real(t, mod)
 
-        monkeypatch.setattr(lib, "BN_mod_inverse", spy)
+        monkeypatch.setattr(blindsig, "_inverse", spy)
         random.seed(10)
         module_state, caller_state = random.getstate(), rng.getstate()
         assert unblind(s_b, r, pub) == unblind(s_b, r, pub) == s_b * pow(r, -1, n) % n
@@ -739,6 +762,40 @@ class TestUnblindAndVerify:
 
     def test_verify_recover_of_one(self):
         assert verify_recover(1, CLASSIC_TOY_KEY.public) == 1
+
+
+class TestOnEachInverseBackend:
+    """unblind on libgmp's mpz_invert and on the pow fallback. The unblind
+    tests also run on both RSA backends, whose products differ:
+    BN_mod_mul_montgomery on libcrypto, Python ints on pow."""
+
+    def test_inverse_equals_pow(self, inverse_backend, key512):
+        rng = random.Random(12)
+        for n in (253, 3233, key512.n):
+            for t in (0, 1, 2, n - 1, 11 % n, 61 % n, key512.p % n,
+                      *(rng.randrange(n) for _ in range(40))):
+                assert blindsig._inverse(t, n) == (pow(t, -1, n) if gcd(t, n) == 1 else None)
+
+    def test_round_trips_and_factor_not_unit(self, rsa_backend, inverse_backend):
+        case = TestUnblindAndVerify()
+        case.test_unblind_r1_unchanged()
+        case.test_pipeline_equals_direct_signature()
+        case.test_random_round_trips_1000()
+        case.test_factor_not_unit()
+
+    def test_inverse_sees_only_t(self, rsa_backend, inverse_backend, key512, monkeypatch):
+        TestUnblindAndVerify().test_inverse_sees_a_fresh_blinded_value_and_no_caller_rng(
+            key512, monkeypatch
+        )
+
+    def test_threads_on_one_key(self, inverse_backend, key512):
+        TestContext().test_threads_on_one_key(key512)
+
+    def test_libgmp_used_wherever_installed(self):
+        # Only this direction: libgmp.so.10 may open where find_library,
+        # which needs ldconfig, gcc or ld, finds nothing.
+        if ctypes.util.find_library("gmp"):
+            assert blindsig._libgmp() is not None
 
 
 class TestRandomUnit:

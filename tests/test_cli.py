@@ -1299,6 +1299,26 @@ class TestLegacySim:
         assert (rc, out) == (1, "")
         assert err.startswith("ERR ParseError: line 3:")
 
+    def test_only_legacy_sim_imports_legacy(self, tmp_path, config_file):
+        # Every command's start-up pays for what `import blindvote.cli` loads:
+        # no ctypes library until one is needed, and legacy for legacy-sim only.
+        scen = tmp_path / "scen.txt"
+        scen.write_text("HONEST 2\nCOMPROMISED 2\nSEED 5\n")
+        src = str(Path(blindvote.__file__).resolve().parents[1])
+        argv = ["legacy-sim", str(scen), "--config", str(config_file)]
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import blindvote.cli; "
+            "loaded = lambda: sorted(m for m in sys.modules "
+            "if m in ('blindvote.legacy', 'ctypes')); "
+            f"print(loaded()); rc = blindvote.cli.main({argv!r}); print(rc, loaded())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert out[0] == "[]"
+        assert "counted=2" in out[1:] and "invalidated=2" in out[1:]
+        assert out[-1] == "0 ['blindvote.legacy']"
+
 
 class TestUsageAndErrors:
     def test_unknown_command_exits_2(self):

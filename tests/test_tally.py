@@ -347,6 +347,9 @@ class TestReports:
         text = format_tally_report(w.config, result)
         assert text == (DATA / "tally_report_golden.txt").read_text()
 
+    def test_tally_report_golden_on_each_inverse_backend(self, inverse_backend, key512):
+        self.test_tally_report_golden(key512)
+
     def test_audit_report_fields(self, key512):
         w = World(key512, n_voters=2)
         box = [w.cast(VoteSelection(party_index=0))]
