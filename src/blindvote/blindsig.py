@@ -125,7 +125,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Callable, TextIO
 
 from .election import hex_int, record_lines
-from .errors import FactorNotUnit, MessageOutOfRange, ParseError, SigningFault
+from .errors import FactorNotUnit, LibraryFailure, MessageOutOfRange, ParseError, SigningFault
 from .native import open_library
 
 if TYPE_CHECKING:
@@ -518,11 +518,11 @@ class _Context:
         *self.flagged, self.n_flagged = [self._new_bignum(lib, v, True) for v in (0,) * 5 + (n,)]
         *self.plain, self.n_plain = [self._new_bignum(lib, v, False) for v in (0,) * 3 + (n,)]
         if not lib.BN_MONT_CTX_set(self.mont, self.n_plain, self.bn_ctx):
-            raise MemoryError("libcrypto BN_MONT_CTX_set failed")
+            raise LibraryFailure("libcrypto BN_MONT_CTX_set failed")
 
     def _own(self, ptr: int | None, free: Callable[[int], None]) -> int:
         if not ptr:
-            raise MemoryError("libcrypto could not allocate")
+            raise LibraryFailure("libcrypto could not allocate")
         self._owned.append((free, ptr))
         return ptr
 
@@ -532,7 +532,7 @@ class _Context:
         raw = value.to_bytes(max(self.width, (value.bit_length() + 7) // 8), "big")
         bn = lib.BN_bin2bn(raw, len(raw), bn)
         if not bn:
-            raise MemoryError("libcrypto BN_bin2bn failed")
+            raise LibraryFailure("libcrypto BN_bin2bn failed")
         return bn
 
     def _new_bignum(self, lib: ctypes.CDLL, value: int, consttime: bool) -> int:
@@ -555,12 +555,12 @@ class _Context:
                 for bn, value in zip(nums[outputs:], values):
                     self._write(lib, value, bn)
                 if not fn(*nums):
-                    raise MemoryError(f"libcrypto {fn.__name__} failed")
+                    raise LibraryFailure(f"libcrypto {fn.__name__} failed")
                 out = ctypes.create_string_buffer(self.width)
                 found = []
                 for bn in nums[:outputs]:
                     if lib.BN_bn2binpad(bn, out, self.width) != self.width:
-                        raise MemoryError("libcrypto BN_bn2binpad failed")
+                        raise LibraryFailure("libcrypto BN_bn2binpad failed")
                     found.append(int.from_bytes(out.raw, "big"))
                 return found
             finally:
@@ -583,7 +583,7 @@ class _Context:
                 # the CRT values itself, and blinds each private operation.
                 nums = [self._own(self._write(lib, v), lib.BN_clear_free) for v in values]
                 if not set0(rsa, *nums):
-                    raise MemoryError(f"libcrypto {set0.__name__} failed")
+                    raise LibraryFailure(f"libcrypto {set0.__name__} failed")
                 del self._owned[-len(nums) :]  # the handle owns them now
             self.rsa = rsa
             return rsa

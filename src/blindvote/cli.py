@@ -16,9 +16,9 @@ a sibling directory and renames it into place. Every file is UTF-8 whatever
 the locale, its lines ended by "\n". Randomized steps take --seed so a
 scripted run is reproducible byte for byte. requests.log, ballotbox.txt and
 board.txt grow only by board.append_lines, under an exclusive flock on the
-file: `vote` and `authority` hold it on requests.log from loading it to the
-fsync of their lines. Every command reads them under a flock on the file,
-so it never sees part of an append.
+file: `vote` and `authority` hold it on requests.log only from loading the
+log to the fsync of their lines; `vote` unblinds after. Every command reads
+them under a flock on the file, so it never sees part of an append.
 `vote` and `gate` parse only the lines of credentials.txt, registry.txt and
 requests.log that contain their voter's id, so a fault in another voter's
 line does not stop them; `authority`, `tally` and `audit` parse every line.
@@ -57,7 +57,7 @@ from .tally import (
     publish_tally,
     tally,
 )
-from .errors import ModulusTooSmall, ProtocolError, UnknownVoter
+from .errors import LibraryFailure, ModulusTooSmall, ProtocolError, UnknownVoter
 from .identity import (
     CredentialIssuer,
     SigningRequest,
@@ -117,19 +117,23 @@ class _Dir:
         with self.registry.open(encoding="utf-8") as fh:
             return load_registry(fh, voter_id)
 
+    def authority(self, voter_id: str | None = None) -> authority_mod.SigningAuthority:
+        """The authority, read unlocked: setup writes its files once, nothing rewrites them."""
+        config, key = self.load_config(), self.load_key()
+        return authority_mod.SigningAuthority(config, key, self.load_registry(voter_id))
+
     @contextlib.contextmanager
-    def locked_authority(
-        self, voter_id: str | None = None
-    ) -> Iterator[authority_mod.SigningAuthority]:
-        """The authority restored from requests.log under an exclusive flock
-        on the log, which is opened without O_CREAT: an empty log would let
-        every voter vote again. On a clean exit, still locked, the requests
-        signed inside the block are appended by board_mod.append_lines, so no
-        signature leaves before its line is durable. With a voter_id its
-        registry and its log hold that voter alone, so it can sign for no
-        one else and parses no other voter's log line. No
-        code inside the block may call load_requests: its shared flock, on a
-        second descriptor, would wait for this one forever.
+    def locked_log(
+        self, auth: authority_mod.SigningAuthority, voter_id: str | None = None
+    ) -> Iterator[None]:
+        """The authority's step: auth's log restored from requests.log under
+        an exclusive flock on the log, opened without O_CREAT (an empty log
+        would let every voter vote again). On a clean exit, still locked, the
+        requests signed inside the block are appended by board_mod.append_lines,
+        so no signature leaves before its line is durable. With a voter_id no
+        other voter's line is parsed. No code inside the block may call
+        load_requests: its shared flock, on a second descriptor, would wait
+        for this one forever.
 
         A kill inside the write, or power loss, can still leave an
         unterminated fragment at the end of the log, parsable or not.
@@ -138,12 +142,9 @@ class _Dir:
         "\n"; that is safe, because the fragment's signature never left."""
         with self.requests.open("r+b", buffering=0) as log:
             fcntl.flock(log, fcntl.LOCK_EX)  # released when log closes
-            auth = authority_mod.SigningAuthority(
-                self.load_config(), self.load_key(), self.load_registry(voter_id)
-            )
             with open(log.fileno(), encoding="utf-8", closefd=False) as fh:
                 loaded = auth.load_request_log(fh, voter_id)
-            yield auth
+            yield
             lines = io.StringIO()
             auth.save_request_log(lines, after=loaded)
             board_mod.append_lines(log, lines.getvalue())
@@ -222,10 +223,15 @@ def cmd_vote(args: argparse.Namespace) -> int:
     sel = VoteSelection(
         party_index=args.party, approvals=frozenset(args.approve or ())
     )
-    with d.locked_authority(args.voter) as auth:
-        artifact, note = voter.prepare_and_cast(
-            auth.config, cred, sel, auth.key.public, auth.handle_request, rng
-        )
+    auth = d.authority(args.voter)
+
+    def channel(req: SigningRequest) -> int:  # unblinding and the outputs follow its commit
+        with d.locked_log(auth, args.voter):
+            return auth.handle_request(req)
+
+    artifact, note = voter.prepare_and_cast(
+        auth.config, cred, sel, auth.key.public, channel, rng
+    )
     (d.ballots / f"{args.voter}.txt").write_text(artifact.text, encoding="utf-8")
     (d.notes / f"{args.voter}.txt").write_text(note.text, encoding="utf-8")
     if not args.no_mail:
@@ -239,9 +245,9 @@ def cmd_authority(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     mailbox = Path(args.mailbox)
     out = Path(args.out) if args.out else mailbox.with_suffix(mailbox.suffix + ".rsp")
-    with d.locked_authority() as auth:
-        with mailbox.open(encoding="utf-8", errors="replace") as fh:
-            responses = authority_mod.process_mailbox(auth, fh)
+    auth = d.authority()
+    with d.locked_log(auth), mailbox.open(encoding="utf-8", errors="replace") as fh:
+        responses = authority_mod.process_mailbox(auth, fh)
     out.write_text("".join(line + "\n" for line in responses), encoding="utf-8")
     print(f"processed {len(responses)} requests, responses in {out}")
     return EXIT_OK
@@ -433,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolError as exc:
-        print(f"ERR {exc.code}: {exc}", file=sys.stderr)
+    except (ProtocolError, LibraryFailure) as exc:
+        print(f"ERR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, UnicodeEncodeError) as exc:  # a file, or stdout's encoding
         print(f"ERR IoFailure: {exc}", file=sys.stderr)

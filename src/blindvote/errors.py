@@ -84,6 +84,10 @@ class SigningFault(ProtocolError):
     releasing it could reveal a prime factor of the authority's modulus."""
 
 
+class LibraryFailure(Exception):
+    """A C library call failed: not a ProtocolError, so no check takes it as a verdict."""
+
+
 # --- voter credentials / signing authority ---
 
 class DuplicateVoterId(ProtocolError):

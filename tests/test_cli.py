@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import blindvote
-from blindvote import authority as authority_mod, blindsig, board as board_mod, identity
+from blindvote import authority as authority_mod, blindsig, board as board_mod, identity, voter
 from blindvote.authority import SigningAuthority, format_request, read_request_log
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BoardBatch, BulletinBoard, board_verify
 from blindvote.cli import main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
+from blindvote.errors import LocalVerifyFailed
 from blindvote.identity import (
     CredentialIssuer,
     load_registry,
@@ -1018,6 +1019,102 @@ class TestSigningFault:
         assert rc == 0
         assert (tmp_path / "mail.txt.rsp").read_text() == "RSP ERR SigningFault\n"
         assert (election / "requests.log").read_bytes() == log
+
+
+def test_voter_fault_after_signing_leaves_the_request_logged(election, capsys,
+                                                            monkeypatch):
+    # A fault on the voter's side after the authority signed (here a wrong
+    # inverse, caught by the voter's own check) comes after the log commit:
+    # the signature that was sent counts against a logged request, so an
+    # owner who salvages it holds one valid ballot, and cannot vote again.
+    exact_inverse, cast, failures = blindsig._inverse, voter.prepare_and_cast, []
+
+    def wrong_once(t, n):
+        inverse = exact_inverse(t, n)
+        return inverse if failures else (inverse + 1) % n
+
+    def keep_failure(*args, **kwargs):
+        try:
+            return cast(*args, **kwargs)
+        except LocalVerifyFailed as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(blindsig, "_inverse", wrong_once)
+    monkeypatch.setattr(voter, "prepare_and_cast", keep_failure)
+    rc, out, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "2")
+    assert (rc, out) == (1, "")
+    assert err.startswith("ERR LocalVerifyFailed:")
+    logged = (election / "requests.log").read_text().splitlines()
+    assert [line.split()[1] for line in logged] == ["V0001"]
+    assert not (election / "ballots" / "V0001.txt").exists()
+    assert (election / "ballotbox.txt").read_text() == ""
+    rc, out, _ = run(capsys, "gate", "--dir", str(election), "V0001")
+    assert (rc, out) == (3, "BLOCK V0001 reason=AlreadyRequested\n")
+    rc, _, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                     "--party", "1", "--seed", "3")
+    assert rc == 1
+    assert err.startswith("ERR AlreadyRequested:")
+    # The voter's device knows r: Random(2) draws the nonce, then r.
+    key = _load_keypair(election)
+    rng = random.Random(2)
+    rng.randbytes(8)
+    r = random_unit(key.n, rng)
+    signature = failures[0].returned * pow(r, -1, key.n) % key.n
+    with (election / "ballotbox.txt").open("a") as fh:
+        fh.write(voter.format_payload(signature, key.public) + "\n")
+    rc, out, _ = run(capsys, "audit", "--dir", str(election))
+    assert (rc, out.splitlines()[1:6]) == (0, [
+        "requests_total=1", "requests_valid=1", "ballots_valid=1", "discrepancy=0",
+        "cheat_flag=false",
+    ])
+
+
+def test_vote_unblinds_after_the_log_commit_and_its_lock(election, capsys, monkeypatch):
+    # Only the authority's step holds requests.log: when the voter's half
+    # unblinds, the request is on disk and another process may lock the log.
+    log, seen, exact_unblind = election / "requests.log", [], blindsig.unblind
+
+    def spy(*args):
+        with log.open("rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)  # BlockingIOError if held
+            seen.append(fh.read())
+        return exact_unblind(*args)
+
+    monkeypatch.setattr(blindsig, "unblind", spy)
+    rc, _, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                     "--party", "0", "--seed", "2")
+    assert (rc, err) == (0, "")
+    assert len(seen) == 1
+    assert seen[0].startswith(b"REQ V0001 ")
+
+
+@pytest.mark.parametrize("command", ["vote", "authority", "tally"])
+def test_failed_libcrypto_call_is_one_err_line(election, capsys, tmp_path, monkeypatch,
+                                               command):
+    # A failed call stops the command whole: the mailbox answers no line with
+    # it, and tally does not count it as a rejected ballot.
+    lib = blindsig._libcrypto()
+    if lib is None:
+        pytest.skip("libcrypto cannot be loaded")
+    rc, _, _ = run(capsys, "vote", "--dir", str(election), "--voter", "V0002",
+                   "--party", "1", "--seed", "3")
+    assert rc == 0
+    (tmp_path / "mail.txt").write_text(_signed_request(election, "V0001") + "\n")
+    argv = {
+        "vote": ["--voter", "V0001", "--party", "0", "--seed", "2"],
+        "authority": ["--mailbox", str(tmp_path / "mail.txt")],
+        "tally": [],
+    }[command]
+    before = {path: path.read_bytes() for path in election.glob("**/*") if path.is_file()}
+    monkeypatch.setattr(lib, "BN_MONT_CTX_set", lambda *args: 0)
+    rc, out, err = run(capsys, command, "--dir", str(election), *argv)
+    assert (rc, out) == (1, "")
+    assert err == "ERR LibraryFailure: libcrypto BN_MONT_CTX_set failed\n"
+    assert {path: path.read_bytes() for path in election.glob("**/*")
+            if path.is_file()} == before
+    assert not (tmp_path / "mail.txt.rsp").exists()
 
 
 @pytest.mark.parametrize("command, output", [
