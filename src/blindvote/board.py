@@ -50,20 +50,18 @@ def _chain_digest(prev: bytes, body: str) -> bytes:
     return hashlib.sha256(prev + body.encode("ascii")).digest()
 
 
-def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
-    """Read and recompute the whole chain.
+def _replay(fh: BinaryIO, records: list[BoardRecord]) -> int | None:
+    """Read the open board `fh` from its start and recompute the whole chain.
 
-    Returns (records up to the first break, first broken seq or None). The
-    digest covers each line's text as written, so a line breaks the chain
-    unless its seq is exactly its position, its kind is known, its payload
-    is strict base64, its chain hex is the lower-case digest and "\n" ends it.
+    Adds the records up to the first break to `records`, and returns the
+    first broken seq or None. The digest covers each line's text as written,
+    so a line breaks the chain unless its seq is exactly its position, its
+    kind is known, its payload is strict base64, its chain hex is the
+    lower-case digest and "\n" ends it.
     """
-    try:
-        text = path.read_bytes().decode("ascii", errors="replace")
-    except FileNotFoundError:
-        return [], None
+    fh.seek(0)
+    text = fh.read().decode("ascii", errors="replace")
     *lines, tail = text.split("\n")
-    records: list[BoardRecord] = []
     prev = _GENESIS
     for seq, line in enumerate(lines):
         body, _, chain_hex = line.rpartition("|")
@@ -73,15 +71,15 @@ def _replay(path: Path) -> tuple[list[BoardRecord], int | None]:
             seq_text, kind, payload_b64 = body.split("|")
             payload = base64.b64decode(payload_b64, validate=True)
         except ValueError:
-            return records, seq
+            return seq
         if seq_text != str(seq) or kind not in KINDS:
-            return records, seq
+            return seq
         chain = _chain_digest(prev, body)
         if chain_hex != chain.hex():
-            return records, seq
+            return seq
         records.append(BoardRecord(seq, kind, payload, chain, line))
         prev = chain
-    return records, len(records) if tail else None
+    return len(lines) if tail else None
 
 
 class BoardBatch:
@@ -121,12 +119,12 @@ class BulletinBoard:
     """Append-serialized writer over a board file.
 
     A publication is one batch: it holds an exclusive flock on the file,
-    replays and verifies the chain once, chains its records in memory and
-    writes them all with append_lines on a clean exit. An exception inside
-    the batch writes nothing. Writers in any thread or process, through any
-    number of BulletinBoard objects on the same path, therefore never both
-    write seq n. Do not append to the same path inside a batch: a second
-    flock, on a second descriptor, waits for the first forever.
+    replays and verifies the chain once through it, chains its records in
+    memory and writes them all with append_lines on a clean exit. An
+    exception inside the batch writes nothing. Writers in any thread or
+    process, through any BulletinBoard on the path, never both write seq n.
+    Do not append to or read the same path inside a batch: a second flock,
+    on a second descriptor, waits for the first forever.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -138,10 +136,10 @@ class BulletinBoard:
         unchanged; the CLI prints it as IoFailure, as for every other file."""
         with self.path.open("a+b", buffering=0) as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
-            records, broken = _replay(self.path)
+            batch = BoardBatch([])
+            broken = _replay(fh, batch.records)
             if broken is not None:
                 raise ChainBroken(broken)
-            batch = BoardBatch(records)
             yield batch
             append_lines(fh, "".join(rec.line + "\n" for rec in batch.added))
 
@@ -150,7 +148,8 @@ class BulletinBoard:
             return batch.append(kind, payload)
 
     def records(self) -> list[BoardRecord]:
-        records, broken = _replay(self.path)
+        records: list[BoardRecord] = []
+        broken = board_verify(self.path, records)
         if broken is not None:
             raise ChainBroken(broken)
         return records
@@ -178,7 +177,14 @@ def append_lines(fh: BinaryIO, text: str) -> None:
         raise
 
 
-def board_verify(path: str | Path) -> int | None:
-    """Recompute the chain; None when intact, else the first broken seq."""
-    _, broken = _replay(Path(path))
-    return broken
+def board_verify(path: str | Path, records: list[BoardRecord] | None = None) -> int | None:
+    """Recompute the chain; None when intact, else the first broken seq. The
+    one reader of a board: it replays it once under a shared flock, so it sees
+    a batch all or none, and adds the verified records to `records` if given."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None  # nothing published yet
+    with fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)  # released when fh closes
+        return _replay(fh, [] if records is None else records)

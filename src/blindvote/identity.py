@@ -19,11 +19,12 @@ libsodium, loaded through ctypes on first use:
     verify_request          crypto_sign_ed25519_verify_detached
 
 The 64-byte seed||pk secret that signing needs is cleared with
-sodium_memzero after each use. Lengths are checked before any buffer
-reaches C: a 32-byte seed or key, a 64-byte signature. Where libsodium
-cannot be loaded or initialised, the `cryptography` package does the same
-work. Ed25519 is deterministic, so both give the same public keys and the
-same signatures byte for byte; backend() names the one in use.
+sodium_memzero after each use, even when a call fails; a failed call
+raises LibraryFailure, no verdict on the voter. Lengths are checked before
+any buffer reaches C: a 32-byte seed or key, a 64-byte signature. Where
+libsodium cannot be loaded or initialised, the `cryptography` package does
+the same work. Ed25519 is deterministic, so both give the same public keys
+and the same signatures byte for byte; backend() names the one in use.
 
 One verdict. RFC 8032 leaves open what a verifier does with points of
 small order, and libraries differ there (Chalkias, Garillot & Nikolaenko,
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, TextIO
 
 from .election import record_line
-from .errors import BadSignature, DuplicateVoterId, ParseError, UnknownVoter
+from .errors import BadSignature, DuplicateVoterId, LibraryFailure, ParseError, UnknownVoter
 from .native import open_library
 
 if TYPE_CHECKING:
@@ -124,7 +125,9 @@ def _sodium_keypair(lib: ctypes.CDLL, seed: bytes) -> tuple[ctypes.Array, ctypes
         raise ValueError(f"an Ed25519 seed is {_KEY_LEN} bytes, not {len(seed)}")
     public = ctypes.create_string_buffer(_KEY_LEN)
     secret = ctypes.create_string_buffer(2 * _KEY_LEN)
-    lib.crypto_sign_ed25519_seed_keypair(public, secret, seed)
+    if lib.crypto_sign_ed25519_seed_keypair(public, secret, seed) != 0:
+        lib.sodium_memzero(secret, len(secret))
+        raise LibraryFailure("libsodium crypto_sign_ed25519_seed_keypair failed")
     return public, secret
 
 
@@ -150,7 +153,8 @@ def _raw_sign(seed: bytes, message: bytes) -> bytes:
     signature = ctypes.create_string_buffer(_SIG_LEN)
     _, secret = _sodium_keypair(lib, seed)
     try:
-        lib.crypto_sign_ed25519_detached(signature, None, message, len(message), secret)
+        if lib.crypto_sign_ed25519_detached(signature, None, message, len(message), secret) != 0:
+            raise LibraryFailure("libsodium crypto_sign_ed25519_detached failed")
     finally:
         lib.sodium_memzero(secret, len(secret))
     return signature.raw

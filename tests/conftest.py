@@ -3,6 +3,8 @@ from __future__ import annotations
 import errno
 import os
 import random
+import sys
+from typing import Iterator
 
 import pytest
 
@@ -98,3 +100,27 @@ def disk_full(self, out, *, after=0):
     the disk is full."""
     out.write("REQ V00")
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_opened: list[str] | None = None  # None: no test is recording
+_hooked = False
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _opened is not None and isinstance(args[0], (str, os.PathLike)):
+        _opened.append(os.fspath(args[0]))
+
+
+@pytest.fixture
+def opened() -> Iterator[list[str]]:
+    """The paths of the files opened while the test runs, in order, as
+    Python's "open" audit event names them."""
+    global _opened, _hooked
+    if not _hooked:
+        sys.addaudithook(_record_open)  # a hook cannot be removed: add it once
+        _hooked = True
+    _opened = []
+    try:
+        yield _opened
+    finally:
+        _opened = None

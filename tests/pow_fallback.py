@@ -1,7 +1,7 @@
 """A pytest plugin that runs tests on blindsig's pow fallback, as on a
 machine where neither libcrypto nor libgmp loads (macOS among them):
 
-    PYTHONPATH=src:tests python -m pytest -p pow_fallback tests/test_cli.py
+    PYTHONPATH=src:tests python -m pytest -p pow_fallback tests
 
 Every exponentiation and unblind's inverse then run on Python's pow. A test
 that needs a library skips itself; a command run in a child process still

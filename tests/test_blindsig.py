@@ -605,6 +605,7 @@ class TestSecretArithmetic:
         assert_agrees_with_pow(key, b, r)
 
     def test_fallback_when_libcrypto_cannot_load(self, monkeypatch):
+        skip_unless_loader(blindsig, "_libcrypto")
         keys = seeded_keys()  # on whichever backend is installed
         monkeypatch.setattr(blindsig, "_LIBCRYPTO_SONAME", "libcrypto.so.absent")
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
@@ -638,6 +639,7 @@ class TestSecretArithmetic:
         assert public_calls == [(s, pub.e, pub.n)]
 
     def test_libcrypto_used_wherever_installed(self):
+        skip_unless_loader(blindsig, "_libcrypto")
         installed = sys.platform != "darwin" and ctypes.util.find_library("crypto")
         assert blindsig.backend() == ("libcrypto" if installed else "pow")
 
@@ -648,6 +650,13 @@ class TestSecretArithmetic:
         assert "dp=" not in repr(key512)
         with pytest.raises(TypeError):
             BlindKeyPair(n=key512.n, e=key512.e, d=d)  # every key carries p and q
+
+
+def skip_unless_loader(module, loader: str) -> None:
+    """Skip a test of a library loader where the pow_fallback plugin has put
+    a stub in its place; the Tier-1 run tests the real one."""
+    if not hasattr(getattr(module, loader), "cache_clear"):
+        pytest.skip(f"{loader} is replaced by the pow_fallback plugin")
 
 
 def opens(soname: str) -> bool:
@@ -666,6 +675,7 @@ def opens(soname: str) -> bool:
 ])
 def test_loaded_by_soname_without_a_child_process(monkeypatch, module, loader, soname, name):
     # find_library runs ldconfig -p (then gcc or ld) in a child process.
+    skip_unless_loader(module, loader)
     if not opens(soname):
         pytest.skip(f"no {soname}")
 
@@ -688,6 +698,7 @@ def test_loaded_by_soname_without_a_child_process(monkeypatch, module, loader, s
 def test_macos_opens_no_bare_name(monkeypatch, module, loader, soname, name):
     # dlopen on macOS searches the working directory for a bare name, so a
     # file called libgmp.so.10 there would be loaded into a voter's process.
+    skip_unless_loader(module, loader)
     opened, asked = [], []
 
     def cdll(path, *args, **kwargs):
@@ -794,6 +805,7 @@ class TestOnEachInverseBackend:
     def test_libgmp_used_wherever_installed(self):
         # Only this direction: libgmp.so.10 may open where find_library,
         # which needs ldconfig, gcc or ld, finds nothing.
+        skip_unless_loader(blindsig, "_libgmp")
         if ctypes.util.find_library("gmp"):
             assert blindsig._libgmp() is not None
 

@@ -249,9 +249,9 @@ def _count_replays(monkeypatch) -> list:
     calls = []
     replay = board_mod._replay
 
-    def counting(path):
-        calls.append(path)
-        return replay(path)
+    def counting(fh, records):
+        calls.append(fh)
+        return replay(fh, records)
 
     monkeypatch.setattr(board_mod, "_replay", counting)
     return calls
@@ -301,6 +301,42 @@ def test_publish_requests_replays_once(tmp_path, monkeypatch):
     assert len(batch.added) == 15
     assert len(board.records()) == 20
     assert board_verify(path) is None
+
+
+def test_batch_opens_and_replays_the_board_once(tmp_path, monkeypatch, opened):
+    # The replay reads the descriptor that holds the batch's lock.
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    board.append("META", b"first")
+    calls = _count_replays(monkeypatch)
+    opened.clear()
+    with board.batch() as batch:
+        batch.append("META", b"second")
+    assert opened == [str(path)]
+    assert len(calls) == 1
+    assert board_verify(path) is None
+
+
+@pytest.mark.parametrize("read, seen", [
+    pytest.param(board_verify, None, id="board_verify"),
+    pytest.param(lambda path: len(BulletinBoard(path).records()), 2, id="records"),
+])
+def test_reader_waits_for_a_batch(tmp_path, read, seen):
+    # A reader takes a shared flock on the board, so it sees a batch's
+    # records all at once, after the batch has written them.
+    path = tmp_path / "board.txt"
+    board = BulletinBoard(path)
+    board.append("META", b"first")
+    results = []
+    reader = threading.Thread(target=lambda: results.append(read(path)))
+    with board.batch() as batch:
+        batch.append("META", b"second")
+        reader.start()
+        reader.join(timeout=0.5)
+        assert reader.is_alive() and results == []
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert results == [seen]
 
 
 def test_batch_on_corrupt_board_raises_and_writes_nothing(tmp_path):

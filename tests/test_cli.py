@@ -1117,6 +1117,47 @@ def test_failed_libcrypto_call_is_one_err_line(election, capsys, tmp_path, monke
     assert not (tmp_path / "mail.txt.rsp").exists()
 
 
+def _sodium_fails(monkeypatch, call: str) -> list:
+    """Make libsodium's `call` report failure; returns the lengths it clears."""
+    lib = identity._libsodium()
+    if lib is None:
+        pytest.skip("libsodium cannot be loaded")
+    cleared, memzero = [], lib.sodium_memzero
+    monkeypatch.setattr(lib, call, lambda *args: -1)
+    monkeypatch.setattr(lib, "sodium_memzero",
+                        lambda buf, size: cleared.append(size) or memzero(buf, size))
+    return cleared
+
+
+@pytest.mark.parametrize("call", ["crypto_sign_ed25519_seed_keypair",
+                                  "crypto_sign_ed25519_detached"])
+def test_failed_libsodium_call_in_vote_is_one_err_line(election, capsys, monkeypatch, call):
+    # A zeroed key or signature is the library's fault, not a forged
+    # credential: vote must not blame the voter, and must log nothing.
+    before = {path: path.read_bytes() for path in election.glob("**/*") if path.is_file()}
+    cleared = _sodium_fails(monkeypatch, call)
+    rc, out, err = run(capsys, "vote", "--dir", str(election), "--voter", "V0001",
+                       "--party", "0", "--seed", "2")
+    assert (rc, out) == (1, "")
+    assert err == f"ERR LibraryFailure: libsodium {call} failed\n"
+    assert cleared[-1] == 64  # the seed||pk secret, cleared all the same
+    assert {path: path.read_bytes() for path in election.glob("**/*")
+            if path.is_file()} == before
+
+
+def test_failed_libsodium_call_in_setup_is_one_err_line(tmp_path, config_file, capsys,
+                                                        monkeypatch):
+    # A failed key derivation would otherwise write all-zero keys to the roll.
+    cleared = _sodium_fails(monkeypatch, "crypto_sign_ed25519_seed_keypair")
+    d = tmp_path / "fresh"
+    rc, out, err = run(capsys, "setup", "--dir", str(d), "--config", str(config_file),
+                       "--voters", "2", "--bits", "512", "--seed", "1")
+    assert (rc, out) == (1, "")
+    assert err == "ERR LibraryFailure: libsodium crypto_sign_ed25519_seed_keypair failed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+    assert cleared == [64]
+
+
 @pytest.mark.parametrize("command, output", [
     pytest.param("vote", "V0001.txt", id="vote"),
     pytest.param("authority", "mail.txt.rsp", id="authority"),
@@ -1308,14 +1349,14 @@ class TestBoardCommand:
         assert not board.exists()
 
     def test_counts_only_the_records_it_verified(self, election, capsys, monkeypatch):
-        # A record published right after the replay must wait for the count:
-        # board verify holds a shared flock on the board across both reads.
+        # A record published right after the replay is not counted: board
+        # verify counts the records of its one replay under a shared flock.
         path = election / "board.txt"
         verify = board_mod.board_verify
         writers = []
 
-        def verify_then_publish(board):
-            broken = verify(board)
+        def verify_then_publish(board, records=None):
+            broken = verify(board, records)
             writer = threading.Thread(
                 target=BulletinBoard(path).append, args=("META", b"late")
             )
@@ -1330,6 +1371,11 @@ class TestBoardCommand:
         assert not writers[0].is_alive()
         assert (rc, out) == (0, "OK records=1\n")
         assert len(BulletinBoard(path).records()) == 2
+
+    def test_opens_the_board_once(self, election, capsys, opened):
+        rc, out, _ = run(capsys, "board", "verify", "--dir", str(election))
+        assert (rc, out) == (0, "OK records=1\n")
+        assert opened.count(str(election / "board.txt")) == 1
 
     def test_tamper_reported_with_seq(self, election, capsys):
         for voter, seed in (("V0001", 1), ("V0002", 2)):
