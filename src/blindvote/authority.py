@@ -3,7 +3,7 @@
 The authority holds the election's blind key pair and the voter registry.
 It never sees a ballot in the clear; every value crossing its boundary is
 blinded, and its persisted state (the request log) contains only voter ids,
-blinded integers, and credential signatures.
+election ids, blinded integers, and credential signatures.
 
 The one-signature-per-voter rule is the double-voting defence: the request
 log doubles as the polling-station "has voted" list, and its length bounds
@@ -20,7 +20,7 @@ from typing import Iterable, TextIO
 
 from . import blindsig
 from .board import BoardBatch, BulletinBoard
-from .election import ElectionConfig, hex_int
+from .election import ElectionConfig, hex_int, voter_entries
 from .errors import (
     AlreadyRequested,
     BadFraming,
@@ -146,38 +146,27 @@ def parse_request(line: str) -> SigningRequest:
     )
 
 
-def read_request_log(
-    src: Iterable[str], voter_id: str | None = None
-) -> list[SigningRequest]:
+def _request_entry(lineno: int, raw: str) -> tuple[str, SigningRequest] | None:
+    """A log line's (voter id, request), or None when it is blank."""
+    req = parse_request(raw) if raw.strip() else None
+    return None if req is None else (req.voter_id, req)
+
+
+def read_request_log(src: TextIO, voter_id: str | None = None) -> list[SigningRequest]:
     """Parse a saved request log: one REQ line per request, each ended by
     "\n", blank lines skipped. Text after the last "\n" (a torn append), a
-    "#" line, an undecodable byte or a voter listed twice is BadFraming too.
-
-    With a voter_id, only that voter's request, if any: every line is still
-    read and checked for its "\n", but only the lines that contain the id
-    are parsed, so each other voter's line costs one substring test and its
-    faults go unseen. A malformed line that contains the id, or a second
-    line for it, is still BadFraming."""
-    requests: list[SigningRequest] = []
-    seen: set[str] = set()
+    "#" line, an undecodable byte or a voter listed twice is BadFraming.
+    With a voter_id, that voter's request alone, or none (see
+    election.voter_entries); the whole text is still decoded and checked for
+    its final "\n", and a "#" line that contains the id is refused, since
+    skipping it as a comment could hide a logged voter."""
     try:
-        for line in src:
-            if not line.endswith("\n"):  # only the last line can lack it
-                raise BadFraming("request log's last line is torn (no final newline)")
-            if (voter_id is not None and voter_id not in line) or not line.strip():
-                continue
-            req = parse_request(line)
-            if voter_id is not None and req.voter_id != voter_id:
-                continue  # another voter's line that contains the id
-            if req.voter_id in seen:
-                raise BadFraming(f"duplicate request for {req.voter_id!r} in log")
-            seen.add(req.voter_id)
-            requests.append(req)
+        text = src.read()
     except UnicodeDecodeError as exc:
-        raise BadFraming(
-            f"request log does not decode as {exc.encoding}: {exc.reason}"
-        ) from None
-    return requests
+        raise BadFraming(f"request log does not decode as {exc.encoding}: {exc.reason}") from None
+    if text and not text.endswith("\n"):
+        raise BadFraming("request log's last line is torn (no final newline)")
+    return list(voter_entries(text, voter_id, _request_entry, BadFraming).values())
 
 
 def append_requests(batch: BoardBatch, requests: Iterable[SigningRequest]) -> None:

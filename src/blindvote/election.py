@@ -13,7 +13,7 @@ import datetime
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
     CandidateOutOfRange,
@@ -136,6 +136,34 @@ def record_lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
                 yield lineno, line
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None
+
+
+def voter_entries(text: str, voter_id: str | None,
+                  parse: Callable[[int, str], tuple | None], error: type[Exception]) -> dict:
+    """voter id -> value from the lines of a voter-keyed file's text, where
+    parse(line number, line) gives (voter id, value), None for a line to
+    skip, or raises. A voter listed twice is an `error`.
+    With a voter_id, that voter's entry alone, or none: only the lines that
+    contain the id are parsed, so each other voter's line costs one
+    substring test and its faults go unseen, but a malformed line that
+    contains the id, or a second line for it, is still refused."""
+    entries = {}
+    lines = text.split("\n")
+    if not lines[-1]:  # the last "\n" ends a line, not starts one
+        lines.pop()  # not removesuffix, which would copy the whole text
+    for lineno, raw in enumerate(lines, start=1):
+        if voter_id is not None and voter_id not in raw:
+            continue
+        entry = parse(lineno, raw)
+        if entry is None:
+            continue
+        found, value = entry
+        if voter_id is not None and found != voter_id:
+            continue  # another voter's line that contains the id
+        if found in entries:
+            raise error(f"line {lineno}: duplicate voter {found!r}")
+        entries[found] = value
+    return entries
 
 
 def hex_int(text: str) -> int:

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, TextIO
 
-from .election import record_line
+from .election import record_line, voter_entries
 from .errors import BadSignature, DuplicateVoterId, LibraryFailure, ParseError, UnknownVoter
 from .native import open_library
 
@@ -271,33 +271,15 @@ def _keyed_line(lineno: int, raw: str, keyword: str) -> tuple[str, bytes] | None
 
 
 def _load_keyed_hex(src: TextIO, keyword: str, voter_id: str | None) -> dict[str, bytes]:
-    """Read `<keyword> <voter_id> <hex of _KEY_LEN bytes>` lines, ids unique.
-
-    With a voter_id, only that voter's entry, if any: the text is decoded
-    whole, but only the lines that contain the id are parsed, so each other
-    voter's line costs one substring test and its faults go unseen. A
-    malformed line that contains the id, or a second line for it, is still
-    a ParseError."""
+    """Read `<keyword> <voter_id> <hex of _KEY_LEN bytes>` lines, '#' comments
+    skipped; with a voter_id, that voter's alone (see voter_entries)."""
     try:
         text = src.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None
-    values: dict[str, bytes] = {}
-    # Split as iterating the file would: the last "\n" ends a line, not
-    # starts one.
-    for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), start=1):
-        if voter_id is not None and voter_id not in raw:
-            continue
-        entry = _keyed_line(lineno, raw, keyword)
-        if entry is None:
-            continue
-        found, value = entry
-        if voter_id is not None and found != voter_id:
-            continue  # another voter's line that contains the id
-        if found in values:
-            raise ParseError(f"line {lineno}: duplicate voter {found!r}")
-        values[found] = value
-    return values
+    return voter_entries(
+        text, voter_id, lambda lineno, raw: _keyed_line(lineno, raw, keyword), ParseError
+    )
 
 
 def load_registry(src: TextIO, voter_id: str | None = None) -> dict[str, bytes]:

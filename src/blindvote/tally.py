@@ -115,7 +115,7 @@ def tally(pk: PublicKey, config: ElectionConfig, box: Iterable[str]) -> TallyRes
             rejected.append((idx, exc.code))
             continue
         seen.add(line)
-        accepted_payloads.append(payload)
+        accepted_payloads.append(line)
         party_votes[sel.party_index] += 1
         for cand in sel.approvals:
             candidate_votes[sel.party_index][cand] += 1

@@ -224,8 +224,14 @@ class TestDirectoryFiles:
 
     @FAST
     @given(
-        entries=st.dictionaries(voter_ids, st.binary(min_size=32, max_size=32),
-                                min_size=1, max_size=8),
+        # Ids that nest (V0001 in V00011) or are all hex digits, so that
+        # they also occur inside the key hex of other voters' lines.
+        entries=st.dictionaries(
+            voter_ids | st.sampled_from(["V0001", "V00011", "V000", "ab12", "12"]),
+            st.binary(min_size=32, max_size=32) | st.just(bytes.fromhex("ab12" * 16)),
+            min_size=1,
+            max_size=8,
+        ),
         absent=voter_ids,
         data=st.data(),
     )

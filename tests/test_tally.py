@@ -292,6 +292,23 @@ class TestPublish:
         }
         assert note.payload_digest in published
 
+    def test_box_of_file_lines_publishes_the_notes_digests(self, key512, tmp_path):
+        # A box read as file lines keeps each line's "\n": the count still
+        # publishes the digest of the payload itself, the one each note holds.
+        w = World(key512, n_voters=2)
+        cast = [
+            prepare_and_cast(w.config, cred, VoteSelection(party_index=i), key512.public,
+                             w.auth.handle_request, w.rng)
+            for i, cred in enumerate(w.creds)
+        ]
+        result = tally(key512.public, w.config, [artifact.payload + "\n" for artifact, _ in cast])
+        assert result.accepted_payloads == tuple(artifact.payload for artifact, _ in cast)
+        report = eligibility_audit(w.registry, w.requests(), result)
+        board = BulletinBoard(tmp_path / "board.txt")
+        publish_tally(board, w.config, result, report)
+        published = [r.payload.decode() for r in board.records() if r.kind == "BALLOT_DIGEST"]
+        assert sorted(published) == sorted(note.payload_digest for _, note in cast)
+
     @settings(max_examples=25, deadline=None, database=None)
     @given(order=st.permutations(range(5)))
     def test_digest_order_independent_of_vote_order(self, key512, order):
