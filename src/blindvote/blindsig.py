@@ -21,8 +21,8 @@ Keys here are single purpose. Never sign arbitrary attacker-chosen data
 with a ballot key.
 
 Arithmetic. Every modular exponentiation runs in the system libcrypto,
-and the one inverse on a secret in the system libgmp, each loaded through
-ctypes on first use:
+and unblind's inverse in the system libgmp, each loaded through ctypes on
+first use:
 
     sign_blinded    b^d mod N, one call    constant time: d, p, q are secret
                     on the key's RSA handle
@@ -36,6 +36,10 @@ ctypes on first use:
                     mpz_invert, then       uniform unit independent of r
                     t^-1 * u * s_b on
                     the key's context
+    key load        q^-1 mod p: t = q*u    blinded: q is a secret prime; pow
+                    mod p for a fresh      sees only t
+                    unit u, t^-1 by pow,
+                    then u * t^-1
     keygen          a^d mod n for each     constant time: n is a candidate for a
                     Miller-Rabin witness,  secret prime
                     two per call after
@@ -196,14 +200,27 @@ class BlindKeyPair:
         object.__setattr__(self, "public", PublicKey(n=self.n, e=self.e))  # checks n and e
         if min(self.p, self.q) < 2:
             raise ValueError("p and q must be at least 2")
-        # pow raises ValueError when p and q share a factor.
-        crt = self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
+        crt = self.d % (self.p - 1), self.d % (self.q - 1), _secret_inverse(self.q, self.p)
         for name, value in zip(("dp", "dq", "qinv"), crt):
             object.__setattr__(self, name, value)
 
     @property
     def byte_length(self) -> int:
         return self.public.byte_length
+
+
+def _secret_inverse(q: int, p: int) -> int:
+    """q^-1 mod p, where pow's variable-time inverse sees t = q*u mod p for
+    a fresh unit u from the system's random source, never q, as unblind's
+    inverse does. Raises pow's ValueError when q and p share a factor."""
+    draw = random.SystemRandom()
+    while True:
+        u = draw.randrange(1, p)
+        try:
+            return u * pow(q * u % p, -1, p) % p
+        except ValueError:  # t is not a unit: q is not, or u is not
+            if gcd(q, p) != 1:
+                raise
 
 
 # Tiny fixed keys for tests and demos. TOY_KEY has N = 11 * 23 = 253, the

@@ -41,7 +41,7 @@ import random
 import shutil
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import authority as authority_mod
 from . import blindsig, board as board_mod, codec, voter
@@ -340,14 +340,7 @@ def cmd_board_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blindvote",
-        description="Blind-signature postal voting, simulated at desk scale.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("setup", help="create an election directory")
+def _setup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True, help="election directory to create")
     p.add_argument("--config", required=True, help="election config file to install")
     p.add_argument("--voters", type=voter_count, required=True, help="credentials to issue")
@@ -355,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_setup)
 
-    p = sub.add_parser("vote", help="run the voter pipeline for one selection")
+
+def _vote_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--voter", required=True, help="voter id, e.g. V0001")
     p.add_argument("--party", type=int, required=True)
@@ -373,29 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_vote)
 
-    p = sub.add_parser("authority", help="answer a mailbox of REQ lines")
+
+def _authority_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--mailbox", required=True, help="file of REQ lines")
     p.add_argument("--out", default=None, help="response file (default <mailbox>.rsp)")
     p.set_defaults(func=cmd_authority)
 
-    p = sub.add_parser("verify", help="check a ballot payload and show the vote")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--payload", help="payload line BPV1|...")
     src.add_argument("--file", help="ballot file; last line is the payload")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tally", help="count the ballot box and publish evidence")
+
+def _tally_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--no-publish", action="store_true", help="skip board records")
     p.set_defaults(func=cmd_tally)
 
-    p = sub.add_parser("audit", help="eligibility audit; exit 3 when cheating shows")
+
+def _audit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("gate", help="polling-station check; exit 3 means BLOCK")
+
+def _gate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("voter_id")
     p.add_argument(
@@ -405,14 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("legacy-sim", help="run a token-k scenario file")
+
+def _legacy_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="scenario file (HONEST/COMPROMISED/SEED lines)")
     p.add_argument("--config", required=True, help="election config file")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p.add_argument("--board", default=None, help="publish CODE_PUBLISH records here")
     p.set_defaults(func=cmd_legacy_sim)
 
-    p = sub.add_parser("board", help="bulletin board operations")
+
+def _board_args(p: argparse.ArgumentParser) -> None:
     board_sub = p.add_subparsers(dest="board_command", required=True)
     pv = board_sub.add_parser("verify", help="recompute the hash chain")
     loc = pv.add_mutually_exclusive_group(required=True)
@@ -420,12 +421,48 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--board", default=None, help="board file path")
     pv.set_defaults(func=cmd_board_verify)
 
+
+# Each command's help line and the function that adds its arguments, in the
+# order `blindvote -h` lists them.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "setup": ("create an election directory", _setup_args),
+    "vote": ("run the voter pipeline for one selection", _vote_args),
+    "authority": ("answer a mailbox of REQ lines", _authority_args),
+    "verify": ("check a ballot payload and show the vote", _verify_args),
+    "tally": ("count the ballot box and publish evidence", _tally_args),
+    "audit": ("eligibility audit; exit 3 when cheating shows", _audit_args),
+    "gate": ("polling-station check; exit 3 means BLOCK", _gate_args),
+    "legacy-sim": ("run a token-k scenario file", _legacy_sim_args),
+    "board": ("bulletin board operations", _board_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or, given a command's name, the top-level parser
+    with that command's subparser alone. For an argv that starts with that
+    command the two print the same help and usage errors, byte for byte,
+    and exit with the same codes."""
+    parser = argparse.ArgumentParser(
+        prog="blindvote",
+        description="Blind-signature postal voting, simulated at desk scale.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # The usage line of an error the top-level parser reports, such as an
+        # unrecognized argument, still lists every command.
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the subparser of the command being run is built; an argv that
+    # names no command gets the whole parser, for its help or its error.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ProtocolError, LibraryFailure) as exc:

@@ -651,6 +651,30 @@ class TestSecretArithmetic:
         with pytest.raises(TypeError):
             BlindKeyPair(n=key512.n, e=key512.e, d=d)  # every key carries p and q
 
+    def test_key_load_inverts_only_a_blinded_q(self, key512, monkeypatch):
+        inverted = []
+
+        def spy(base, exp, mod=None):
+            if exp == -1:
+                inverted.append(base % mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(blindsig, "pow", spy, raising=False)
+        p, q = key512.p, key512.q
+        for _ in range(20):
+            key = BlindKeyPair(n=key512.n, e=key512.e, d=key512.d, p=p, q=q)
+            assert key.qinv == pow(q, -1, p)
+        assert len(inverted) >= 20 and q % p not in inverted
+
+    def test_key_whose_factors_share_one_is_refused(self):
+        # 15 and 21 share 3; N = 315 is odd, so only the inverse can refuse it.
+        with pytest.raises(ParseError, match="unusable key: base is not invertible"):
+            load_keypair(io.StringIO("N=13b\ne=5\nd=5\np=f\nq=15\n"))
+        # With 15 and 7 coprime, half the draws of u are no unit mod 15 and
+        # are drawn again.
+        for _ in range(50):
+            assert BlindKeyPair(n=105, e=5, d=5, p=15, q=7).qinv == 13
+
 
 def skip_unless_loader(module, loader: str) -> None:
     """Skip a test of a library loader where the pow_fallback plugin has put

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import codecs
 import dataclasses
 import errno
@@ -19,7 +20,7 @@ from blindvote import authority as authority_mod, blindsig, board as board_mod, 
 from blindvote.authority import SigningAuthority, format_request, read_request_log
 from blindvote.blindsig import blind, random_unit
 from blindvote.board import BoardBatch, BulletinBoard, board_verify
-from blindvote.cli import main
+from blindvote.cli import build_parser, main
 from blindvote.codec import encode, pad
 from blindvote.election import VoteSelection, save_config
 from blindvote.errors import LocalVerifyFailed
@@ -35,6 +36,9 @@ from blindvote.identity import (
 )
 
 from conftest import FIXTURE_ELECTION_ID, disk_full, inject_crt_fault, make_config_2x3
+
+_COMMAND_NAMES = ["setup", "vote", "authority", "verify", "tally", "audit", "gate",
+                  "legacy-sim", "board"]
 
 
 @pytest.fixture()
@@ -1480,6 +1484,52 @@ class TestUsageAndErrors:
         rc, _, err = run(capsys, "audit", "--dir", str(not_a_dir))
         assert rc == 1
         assert err.startswith("ERR IoFailure:")
+
+    @pytest.mark.parametrize("argv, most", [
+        pytest.param(["gate", "--dir", "{d}", "V0001"], 2, id="gate"),
+        pytest.param(["board", "verify", "--dir", "{d}"], 3, id="board verify"),
+    ])
+    def test_each_call_builds_only_its_commands_parsers(self, election, monkeypatch,
+                                                        argv, most):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = [arg.format(d=election) for arg in argv]
+        assert main(argv) == 0
+        first = list(built)
+        built.clear()
+        assert main(argv) == 0  # no parser survives a call
+        assert 1 <= len(first) <= most and built == first
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "-h"] for command in _COMMAND_NAMES),
+        *([command] for command in _COMMAND_NAMES),  # a required argument missing
+        ["board", "verify", "-h"],
+        ["board", "verify"],
+        [],
+        ["-h"],
+        ["nope"],
+        ["gate", "--dir", "e", "V0001", "extra"],  # the top-level parser's error
+    ], ids=" ".join)
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    def test_help_and_usage_errors_are_the_full_parsers(self, capsys, monkeypatch,
+                                                         argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+
+        def outcome(call):
+            with pytest.raises(SystemExit) as exc_info:
+                call(list(argv))
+            return (exc_info.value.code, *capsys.readouterr())
+
+        got = outcome(main)
+        assert got == outcome(build_parser().parse_args)
+        code, out, err = got
+        assert (code, bool(out), bool(err)) in {(0, True, False), (2, False, True)}
 
 
 # Each racer imports the package, reports ready, then waits for the go file,
