@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable, TextIO
 
 from . import blindsig
 from .board import BoardBatch, BulletinBoard
-from .election import ElectionConfig, hex_int, voter_entries
+from .election import ElectionConfig, hex_int, voter_entries, voter_file_content
 from .errors import (
     AlreadyRequested,
     BadFraming,
@@ -104,7 +104,7 @@ class SigningAuthority:
             for req in itertools.islice(self._log.values(), after, None):
                 out.write(format_request(req) + "\n")
 
-    def load_request_log(self, src: TextIO, voter_id: str | None = None) -> int:
+    def load_request_log(self, src: TextIO | BinaryIO, voter_id: str | None = None) -> int:
         """Restore a previously saved log (replaces the in-memory log) and
         return the number of entries it holds; with a voter_id, that voter's
         entry alone, or none (see read_request_log)."""
@@ -146,27 +146,30 @@ def parse_request(line: str) -> SigningRequest:
     )
 
 
-def _request_entry(lineno: int, raw: str) -> tuple[str, SigningRequest] | None:
+def _request_entry(raw: str) -> tuple[str, SigningRequest] | None:
     """A log line's (voter id, request), or None when it is blank."""
     req = parse_request(raw) if raw.strip() else None
     return None if req is None else (req.voter_id, req)
 
 
-def read_request_log(src: TextIO, voter_id: str | None = None) -> list[SigningRequest]:
-    """Parse a saved request log: one REQ line per request, each ended by
-    "\n", blank lines skipped. Text after the last "\n" (a torn append), a
-    "#" line, an undecodable byte or a voter listed twice is BadFraming.
-    With a voter_id, that voter's request alone, or none (see
-    election.voter_entries); the whole text is still decoded and checked for
-    its final "\n", and a "#" line that contains the id is refused, since
-    skipping it as a comment could hide a logged voter."""
+def read_request_log(
+    src: TextIO | BinaryIO, voter_id: str | None = None
+) -> list[SigningRequest]:
+    """Parse a saved request log, open in text or binary mode: one REQ line
+    per request, each ended by "\n", blank lines skipped. Text after the
+    last "\n" (a torn append), a "#" line, an undecodable byte or a voter
+    listed twice is BadFraming. With a voter_id, that voter's request
+    alone, or none (see election.voter_entries); the whole file is still
+    checked for an undecodable byte and its final "\n", and a "#" line that
+    contains the id is refused, since skipping it as a comment could hide a
+    logged voter."""
     try:
-        text = src.read()
+        content = voter_file_content(src.read(), voter_id)
     except UnicodeDecodeError as exc:
         raise BadFraming(f"request log does not decode as {exc.encoding}: {exc.reason}") from None
-    if text and not text.endswith("\n"):
+    if content and not content.endswith(b"\n" if isinstance(content, bytes) else "\n"):
         raise BadFraming("request log's last line is torn (no final newline)")
-    return list(voter_entries(text, voter_id, _request_entry, BadFraming).values())
+    return list(voter_entries(content, voter_id, _request_entry, BadFraming).values())
 
 
 def append_requests(batch: BoardBatch, requests: Iterable[SigningRequest]) -> None:

@@ -19,11 +19,12 @@ board.txt grow only by board.append_lines, under an exclusive flock on the
 file: `vote` and `authority` hold it on requests.log only from loading the
 log to the fsync of their lines; `vote` unblinds after. Every command reads
 them under a flock on the file, so it never sees part of an append.
-`vote` and `gate` parse only the lines of credentials.txt, registry.txt and
-requests.log that contain their voter's id, so a fault in another voter's
-line does not stop them; `authority`, `tally` and `audit` parse every line.
-An undecodable byte anywhere in a file they read, or a torn log tail, still
-stops every command.
+`vote` and `gate` read credentials.txt, registry.txt and requests.log as
+bytes and parse only the lines that contain their voter's id, which one
+search finds in a file that is all ASCII (any other file is decoded whole
+first), so a fault in another voter's line does not stop them; `authority`,
+`tally` and `audit` parse every line. An undecodable byte anywhere in a file
+they read, or a torn log tail, still stops every command.
 
 Exit codes: 0 success, 1 protocol error (stderr line `ERR <Code>: <msg>`),
 2 usage, 3 negative verdict (gate BLOCK, audit cheat flag).
@@ -114,7 +115,7 @@ class _Dir:
 
     def load_registry(self, voter_id: str | None = None) -> dict[str, bytes]:
         """The whole registry, or with a voter_id that voter's entry alone."""
-        with self.registry.open(encoding="utf-8") as fh:
+        with self.registry.open("rb") as fh:
             return load_registry(fh, voter_id)
 
     def authority(self, voter_id: str | None = None) -> authority_mod.SigningAuthority:
@@ -142,8 +143,7 @@ class _Dir:
         "\n"; that is safe, because the fragment's signature never left."""
         with self.requests.open("r+b", buffering=0) as log:
             fcntl.flock(log, fcntl.LOCK_EX)  # released when log closes
-            with open(log.fileno(), encoding="utf-8", closefd=False) as fh:
-                loaded = auth.load_request_log(fh, voter_id)
+            loaded = auth.load_request_log(log, voter_id)
             yield
             lines = io.StringIO()
             auth.save_request_log(lines, after=loaded)
@@ -158,7 +158,7 @@ class _Dir:
         """The logged requests, or with a voter_id that voter's alone (see
         read_request_log), read under a shared flock on the log so that no
         append is seen in part."""
-        with self.requests.open(encoding="utf-8") as fh:
+        with self.requests.open("rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             return authority_mod.read_request_log(fh, voter_id)
 
@@ -215,7 +215,7 @@ def cmd_setup(args: argparse.Namespace) -> int:
 def cmd_vote(args: argparse.Namespace) -> int:
     d = _Dir(args.dir)
     rng = _rng(args.seed)
-    with d.credentials.open(encoding="utf-8") as fh:
+    with d.credentials.open("rb") as fh:
         secrets = load_secrets(fh, args.voter)
     if args.voter not in secrets:
         raise UnknownVoter(f"no credential for {args.voter!r} in {d.credentials}")

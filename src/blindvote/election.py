@@ -12,6 +12,7 @@ import binascii
 import datetime
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Union
 
@@ -138,30 +139,85 @@ def record_lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
         raise ParseError(f"cannot decode: {exc}") from None
 
 
-def voter_entries(text: str, voter_id: str | None,
-                  parse: Callable[[int, str], tuple | None], error: type[Exception]) -> dict:
-    """voter id -> value from the lines of a voter-keyed file's text, where
-    parse(line number, line) gives (voter id, value), None for a line to
-    skip, or raises. A voter listed twice is an `error`.
-    With a voter_id, that voter's entry alone, or none: only the lines that
-    contain the id are parsed, so each other voter's line costs one
-    substring test and its faults go unseen, but a malformed line that
-    contains the id, or a second line for it, is still refused."""
+def voter_file_content(data: str | bytes, voter_id: str | None) -> str | bytes:
+    """What voter_entries reads of a voter-keyed file, given what its read()
+    returned: a text-mode file's text as it is; with a voter_id, bytes that
+    are ASCII and hold no "\r" as they are, so that only the lines that
+    contain the id are ever decoded; any other bytes decoded whole as UTF-8,
+    with "\r\n" and "\r" read as "\n", as a text-mode read gives them.
+    Raises UnicodeDecodeError."""
+    if isinstance(data, str) or (
+        voter_id is not None and data.isascii() and b"\r" not in data
+    ):
+        return data
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _lines_holding(content: str | bytes, voter_id: str) -> Iterator[tuple[int, str]]:
+    """(offset, text) of each line of content that contains voter_id, in
+    file order; bytes content is ASCII (see voter_file_content), and each
+    line found is decoded alone."""
+    if isinstance(content, bytes):
+        if not voter_id.isascii():
+            return  # ASCII bytes cannot hold it (nor may it encode)
+        needle, newline = voter_id.encode(), b"\n"
+    else:
+        needle, newline = voter_id, "\n"
+    if newline in needle:
+        return  # no line holds a newline
+    # A compiled literal finds a rare id's first character faster than
+    # find's skip table, which the hex fields of every line defeat.
+    search = re.compile(re.escape(needle)).search
+    end = -1
+    while (hit := search(content, end + 1)) is not None and hit.start() < len(content):
+        begin = content.rfind(newline, 0, hit.start()) + 1
+        end = content.find(newline, hit.end())
+        if end < 0:
+            end = len(content)
+        raw = content[begin:end]
+        yield begin, raw if isinstance(raw, str) else raw.decode("ascii")
+
+
+def voter_entries(content: str | bytes, voter_id: str | None,
+                  parse: Callable[[str], tuple | None], error: type[Exception]) -> dict:
+    """voter id -> value from the lines of a voter-keyed file's content (see
+    voter_file_content), where parse(line) gives (voter id, value), None for
+    a line to skip, or raises. A ValueError from parse becomes an `error`
+    that names the line's number; a voter listed twice is an `error` too.
+    With a voter_id, that voter's entry alone, or none: one search finds the
+    lines that contain the id, and only those are decoded and parsed, so
+    another voter's faults go unseen, but a malformed line that contains the
+    id, or a second line for it, is still refused. Line numbers count every
+    line; a lookup counts them only for a message."""
+    if voter_id is None:  # text: voter_file_content decodes a full read
+        lines = content.split("\n")
+        if not lines[-1]:  # the last "\n" ends a line, not starts one
+            lines.pop()  # not removesuffix, which would copy the whole text
+        located = enumerate(lines, start=1)  # each line with its number
+
+        def line_number(lineno: int) -> int:
+            return lineno
+    else:
+        located = _lines_holding(content, voter_id)  # each with its offset
+        newline = b"\n" if isinstance(content, bytes) else "\n"
+
+        def line_number(begin: int) -> int:
+            return content.count(newline, 0, begin) + 1
+
     entries = {}
-    lines = text.split("\n")
-    if not lines[-1]:  # the last "\n" ends a line, not starts one
-        lines.pop()  # not removesuffix, which would copy the whole text
-    for lineno, raw in enumerate(lines, start=1):
-        if voter_id is not None and voter_id not in raw:
-            continue
-        entry = parse(lineno, raw)
+    for where, raw in located:
+        try:
+            entry = parse(raw)
+        except ValueError as exc:
+            raise error(f"line {line_number(where)}: {exc}") from None
         if entry is None:
             continue
         found, value = entry
         if voter_id is not None and found != voter_id:
             continue  # another voter's line that contains the id
         if found in entries:
-            raise error(f"line {lineno}: duplicate voter {found!r}")
+            raise error(f"line {line_number(where)}: duplicate voter {found!r}")
         entries[found] = value
     return entries
 

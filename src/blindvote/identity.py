@@ -44,9 +44,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, BinaryIO, TextIO
 
-from .election import record_line, voter_entries
+from .election import record_line, voter_entries, voter_file_content
 from .errors import BadSignature, DuplicateVoterId, LibraryFailure, ParseError, UnknownVoter
 from .native import open_library
 
@@ -252,39 +252,43 @@ def save_registry(registry: dict[str, bytes], out: TextIO) -> None:
         out.write(f"VOTER {voter_id} {public.hex()}\n")
 
 
-def _keyed_line(lineno: int, raw: str, keyword: str) -> tuple[str, bytes] | None:
+def _keyed_line(raw: str, keyword: str) -> tuple[str, bytes] | None:
     """Parse one line of a `<keyword> <voter_id> <hex of _KEY_LEN bytes>`
-    file: (voter_id, value), or None for a blank or '#' comment line."""
+    file: (voter_id, value), or None for a blank or '#' comment line. A
+    malformed line is a ValueError, which voter_entries numbers."""
     line = record_line(raw)
     if line is None:
         return None
     parts = line.split()
     if len(parts) != 3 or parts[0] != keyword:
-        raise ParseError(f"line {lineno}: expected '{keyword} <id> <hex>'")
+        raise ValueError(f"expected '{keyword} <id> <hex>'")
     try:
         value = bytes.fromhex(parts[2])
     except ValueError:
-        raise ParseError(f"line {lineno}: {keyword} value is not hex") from None
+        raise ValueError(f"{keyword} value is not hex") from None
     if len(value) != _KEY_LEN:
-        raise ParseError(f"line {lineno}: {keyword} value must be {_KEY_LEN} bytes")
+        raise ValueError(f"{keyword} value must be {_KEY_LEN} bytes")
     return parts[1], value
 
 
-def _load_keyed_hex(src: TextIO, keyword: str, voter_id: str | None) -> dict[str, bytes]:
+def _load_keyed_hex(src: TextIO | BinaryIO, keyword: str,
+                    voter_id: str | None) -> dict[str, bytes]:
     """Read `<keyword> <voter_id> <hex of _KEY_LEN bytes>` lines, '#' comments
-    skipped; with a voter_id, that voter's alone (see voter_entries)."""
+    skipped; with a voter_id, that voter's alone (see voter_entries). An
+    undecodable byte anywhere is a ParseError."""
     try:
-        text = src.read()
+        content = voter_file_content(src.read(), voter_id)
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode: {exc}") from None
     return voter_entries(
-        text, voter_id, lambda lineno, raw: _keyed_line(lineno, raw, keyword), ParseError
+        content, voter_id, lambda raw: _keyed_line(raw, keyword), ParseError
     )
 
 
-def load_registry(src: TextIO, voter_id: str | None = None) -> dict[str, bytes]:
-    """voter_id -> public key from `VOTER` lines; with a voter_id, that
-    voter's entry alone, or none (see _load_keyed_hex)."""
+def load_registry(src: TextIO | BinaryIO, voter_id: str | None = None) -> dict[str, bytes]:
+    """voter_id -> public key from the `VOTER` lines of a file open in text
+    or binary mode; with a voter_id, that voter's entry alone, or none (see
+    _load_keyed_hex)."""
     return _load_keyed_hex(src, "VOTER", voter_id)
 
 
@@ -294,8 +298,11 @@ def save_secrets(credentials: list[VoterCredential], out: TextIO) -> None:
         out.write(f"SECRET {cred.voter_id} {cred.seed.hex()}\n")
 
 
-def load_secrets(src: TextIO, voter_id: str | None = None) -> dict[str, VoterCredential]:
-    """voter_id -> credential from `SECRET` lines; with a voter_id, that
-    voter's entry alone, or none (see _load_keyed_hex)."""
+def load_secrets(
+    src: TextIO | BinaryIO, voter_id: str | None = None
+) -> dict[str, VoterCredential]:
+    """voter_id -> credential from the `SECRET` lines of a file open in text
+    or binary mode; with a voter_id, that voter's entry alone, or none (see
+    _load_keyed_hex)."""
     seeds = _load_keyed_hex(src, "SECRET", voter_id)
     return {vid: VoterCredential(voter_id=vid, seed=seed) for vid, seed in seeds.items()}

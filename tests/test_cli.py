@@ -1703,17 +1703,18 @@ def test_vote_and_gate_parse_one_line_of_a_large_roll(tmp_path, config_file, cap
     parsed = []
     real = identity._keyed_line
 
-    def counted(lineno, *rest):
-        parsed.append(lineno)
-        return real(lineno, *rest)
+    def counted(raw, *rest):
+        parsed.append(raw.split()[:2])
+        return real(raw, *rest)
 
     monkeypatch.setattr(identity, "_keyed_line", counted)
     rc, _, _ = run(capsys, "vote", "--dir", str(d), "--voter", "V2718", "--party", "1",
                    "--seed", "4")
-    assert (rc, parsed) == (0, [2718, 2718])  # its SECRET line, then its VOTER line
+    assert (rc, parsed) == (0, [["SECRET", "V2718"], ["VOTER", "V2718"]])
     parsed.clear()
     rc, out, _ = run(capsys, "gate", "V2718", "--dir", str(d))
-    assert (rc, out, parsed) == (3, "BLOCK V2718 reason=AlreadyRequested\n", [2718])
+    assert (rc, out, parsed) == (3, "BLOCK V2718 reason=AlreadyRequested\n",
+                                 [["VOTER", "V2718"]])
     parsed.clear()
     rc, _, _ = run(capsys, "audit", "--dir", str(d))
     assert (rc, len(parsed)) == (0, 3000)  # the audit still reads the whole roll

@@ -365,6 +365,26 @@ class TestStores:
             with pytest.raises(ParseError):
                 load_registry(io.StringIO(text))
 
+    def test_lookup_numbers_the_line_it_refuses(self):
+        # A lookup counts lines only for its message, which names the line
+        # as the full read does: from bytes or text, whatever the line ends.
+        issuer, _ = issuer_with(300)
+        buf = io.StringIO()
+        save_registry(issuer.registry, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[249] = "VOTER V0249 nothex\n"
+        lines.insert(280, lines[10])  # a second line for V0010
+        for newline in ("\n", "\r\n"):
+            raw = "".join(lines).replace("\n", newline).encode()
+            for voter_id, message in [
+                (None, "line 250: VOTER value is not hex"),
+                ("V0249", "line 250: VOTER value is not hex"),
+                ("V0010", "line 281: duplicate voter 'V0010'"),
+            ]:
+                for src in (io.BytesIO(raw), io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")):
+                    with pytest.raises(ParseError, match=f"^{message}$"):
+                        load_registry(src, voter_id)
+
     def test_secrets_round_trip(self):
         _, creds = issuer_with(4)
         buf = io.StringIO()

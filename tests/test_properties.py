@@ -2,8 +2,9 @@
 directory's line formats each round-trip, the readers skip blank and
 comment lines alike, a board batch writes what the same appends one by one
 would, the request log's appends write what a rewrite of the whole log
-would, a lookup of one voter in a file reads what the full read holds for
-that voter, and append_lines writes its lines, each on a fresh line."""
+would, a lookup of one voter in a file, from its bytes or its text and
+whatever its line ends, reads what the full read holds for that voter, and
+append_lines writes its lines, each on a fresh line."""
 
 from __future__ import annotations
 
@@ -113,6 +114,62 @@ def with_noise(text: str, data) -> str:
     for _ in range(data.draw(st.integers(0, 4))):
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(noise))
     return "".join(lines)
+
+
+# Ids outside ASCII, which make the file they are in take the decoded path.
+non_ascii_ids = st.sampled_from(["V\u00e91", "V\u00e9", "\u00e91"])
+
+
+def as_file(text: str, data) -> bytes:
+    """The text as a file's bytes, drawing the line ends ("\n" most often,
+    else "\r\n", "\r" or a mix), a UTF-8 BOM, and an undecodable byte put
+    into one non-blank line."""
+    lines = text.split("\n")
+    style = data.draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "mixed"]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if style == "mixed" else st.just(style)
+    out = [line.encode() + data.draw(ends).encode() for line in lines[:-1]]
+    out.append(lines[-1].encode())
+    filled = [i for i, line in enumerate(lines) if line.strip()]
+    if filled and data.draw(st.sampled_from([False, False, False, True])):
+        i = data.draw(st.sampled_from(filled))
+        at = data.draw(st.integers(0, len(lines[i].encode())))
+        out[i] = out[i][:at] + b"\xff" + out[i][at:]
+    bom = b"\xef\xbb\xbf" if data.draw(st.sampled_from([False, False, False, True])) else b""
+    return bom + b"".join(out)
+
+
+def outcome(call, voter_id):
+    """What a reader gives: the voter's entries in its result, as a list, or
+    the code of the error it raises."""
+    try:
+        result = call()
+    except (ParseError, BadFraming) as exc:
+        return exc.code
+    if isinstance(result, dict):
+        return [(vid, value) for vid, value in result.items() if vid == voter_id]
+    return [req for req in result if req.voter_id == voter_id]
+
+
+def scoped_model(read, raw: bytes, voter_id: str, log: bool):
+    """A voter's lookup as the rule states it: the file decoded as a text-mode
+    read gives it (for the request log, BadFraming, and ended by "\n"), then
+    each line that contains the id read alone by the full reader, keeping
+    the voter's own entries; a second one is refused."""
+    error = "BadFraming" if log else "ParseError"
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        return error
+    if log and text and not text.endswith("\n"):
+        return error
+    found = []
+    for line in text.split("\n"):
+        if voter_id in line:
+            got = outcome(lambda: read(io.StringIO(line + "\n")), voter_id)
+            if isinstance(got, str):
+                return got
+            found += got
+    return error if len(found) > 1 else found
 
 
 class TestCodec:
@@ -225,14 +282,17 @@ class TestDirectoryFiles:
     @FAST
     @given(
         # Ids that nest (V0001 in V00011) or are all hex digits, so that
-        # they also occur inside the key hex of other voters' lines.
+        # they also occur inside the key hex of other voters' lines, or end
+        # it; and ids outside ASCII.
         entries=st.dictionaries(
-            voter_ids | st.sampled_from(["V0001", "V00011", "V000", "ab12", "12"]),
-            st.binary(min_size=32, max_size=32) | st.just(bytes.fromhex("ab12" * 16)),
+            voter_ids | st.sampled_from(["V0001", "V00011", "V000", "ab12", "12", "ef"])
+            | non_ascii_ids,
+            st.binary(min_size=32, max_size=32)
+            | st.sampled_from([bytes.fromhex("ab12" * 16), bytes(31) + b"\xef"]),
             min_size=1,
             max_size=8,
         ),
-        absent=voter_ids,
+        absent=voter_ids | non_ascii_ids,
         data=st.data(),
     )
     @pytest.mark.parametrize("save, load", [
@@ -267,6 +327,18 @@ class TestDirectoryFiles:
             load(io.StringIO(doubled))
         with pytest.raises(ParseError):
             load(io.StringIO(doubled), voter_id)
+        # The file's bytes, with "\r" line ends, a BOM or an undecodable
+        # byte drawn: whether a lookup reads the bytes or decodes them whole,
+        # it gives what the rule gives, from a binary or a text-mode file.
+        raw = as_file(doubled if data.draw(st.booleans()) else text, data)
+        for voter_id in [*entries, absent]:
+            model = scoped_model(load, raw, voter_id, log=False)
+            full = outcome(lambda: load(io.BytesIO(raw)), voter_id)
+            if not isinstance(full, str):
+                assert model == full
+            assert outcome(lambda: load(io.BytesIO(raw), voter_id), voter_id) == model
+            text_mode = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            assert outcome(lambda: load(text_mode, voter_id), voter_id) == model
 
     @FAST
     @given(
@@ -304,18 +376,20 @@ class TestDirectoryFiles:
     @given(
         log=st.dictionaries(
             # Ids that nest (V0001 in V00011) or are all hex digits, so that
-            # they also occur inside the hex fields of other voters' lines.
-            voter_ids | st.sampled_from(
-                ["V0001", "V00011", "V000", "ab12", "12", FIXTURE_ELECTION_ID.hex()[2:6]]
+            # they also occur inside the hex fields of other voters' lines, or
+            # end them; and ids outside ASCII.
+            voter_ids | non_ascii_ids | st.sampled_from(
+                ["V0001", "V00011", "V000", "ab12", "12", "ef",
+                 FIXTURE_ELECTION_ID.hex()[2:6]]
             ),
             st.tuples(
                 st.integers(0, 2**2048) | st.just(0xAB12AB12),
-                st.binary(min_size=64, max_size=64),
+                st.binary(min_size=64, max_size=64) | st.just(bytes(63) + b"\xef"),
             ),
             min_size=1,
             max_size=8,
         ),
-        absent=voter_ids,
+        absent=voter_ids | non_ascii_ids,
         data=st.data(),
     )
     def test_request_log_lookup_is_the_full_read_restricted(self, log, absent, data):
@@ -338,6 +412,21 @@ class TestDirectoryFiles:
         req = data.draw(st.sampled_from(requests))
         with pytest.raises(BadFraming):
             read_request_log(io.StringIO(text + format_request(req) + "\n"), req.voter_id)
+        # The log's bytes, with "\r" line ends, a BOM, an undecodable byte,
+        # a second line for one voter or a torn tail drawn: whether a lookup
+        # reads the bytes or decodes them whole, it gives what the rule gives,
+        # from a binary or a text-mode file.
+        text += data.draw(st.sampled_from(["", format_request(req) + "\n", "REQ"]))
+        raw = as_file(text, data)
+        for voter_id in [*log, absent]:
+            model = scoped_model(read_request_log, raw, voter_id, log=True)
+            full = outcome(lambda: read_request_log(io.BytesIO(raw)), voter_id)
+            if not isinstance(full, str):
+                assert model == full
+            got = outcome(lambda: read_request_log(io.BytesIO(raw), voter_id), voter_id)
+            assert got == model
+            text_mode = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            assert outcome(lambda: read_request_log(text_mode, voter_id), voter_id) == model
 
 
 @pytest.fixture(scope="module")
